@@ -118,24 +118,25 @@ std::unique_lock<std::mutex> ShapeService::LockShard(
   return lock;
 }
 
-Status ShapeService::Observe(int group_id, double normalized_runtime) {
-  obs::ScopedLatencyTimer timer(observe_latency_);
+Status ShapeService::ValidateObservation(int group_id,
+                                         double normalized_runtime) const {
   if (group_id < 0) {
-    // Reject at the boundary and count it: a tracker keyed by a negative
-    // id would export a snapshot RestoreState (ids >= 0) refuses to load,
-    // turning a legitimate checkpoint into a restore failure.
     observe_rejected_->Increment();
     return Status::InvalidArgument(
         StrCat("group_id must be >= 0, got ", group_id));
   }
   if (!std::isfinite(normalized_runtime)) {
-    // Reject at the service boundary: the tracker would clamp or drop the
-    // sample silently while the caller saw OK, hiding a corrupt feed.
     observe_rejected_->Increment();
     return Status::InvalidArgument(
         StrCat("normalized_runtime must be finite, got ",
                normalized_runtime));
   }
+  return Status::OK();
+}
+
+Status ShapeService::Observe(int group_id, double normalized_runtime) {
+  obs::ScopedLatencyTimer timer(observe_latency_);
+  RVAR_RETURN_NOT_OK(ValidateObservation(group_id, normalized_runtime));
   observe_total_->Increment();
   const size_t shard_index = ShardIndexFor(group_id);
   Shard& shard = shards_[shard_index];
@@ -381,12 +382,12 @@ std::vector<ShapeService::GroupState> ShapeService::ExportState() const {
   return states;
 }
 
-Status ShapeService::RestoreState(const std::vector<GroupState>& states) {
+Status ShapeService::RestoreState(std::vector<GroupState> states) {
   // Validate and build every group before touching the live shards, so a
   // corrupt entry leaves the service exactly as it was.
   std::vector<std::pair<int, GroupEntry>> restored;
   restored.reserve(states.size());
-  for (const GroupState& state : states) {
+  for (GroupState& state : states) {
     if (state.group_id < 0) {
       return Status::InvalidArgument(
           StrCat("restored group_id must be >= 0, got ", state.group_id));
@@ -397,7 +398,7 @@ Status ShapeService::RestoreState(const std::vector<GroupState>& states) {
                  " carries no quantile sketch"));
     }
     if (state.sketch->k() != options_.sketch_k) {
-      return Status::InvalidArgument(
+      return Status::FailedPrecondition(
           StrCat("restored group ", state.group_id, " sketch has k=",
                  state.sketch->k(), ", service expects k=",
                  options_.sketch_k));
@@ -417,7 +418,7 @@ Status ShapeService::RestoreState(const std::vector<GroupState>& states) {
                                              state.count, state.num_clamped));
     restored.emplace_back(
         state.group_id,
-        GroupEntry(std::move(*tracker), KllSketch(*state.sketch)));
+        GroupEntry(std::move(*tracker), *std::move(state.sketch)));
   }
   for (size_t i = 1; i < restored.size(); ++i) {
     if (restored[i].first <= restored[i - 1].first) {

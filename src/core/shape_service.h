@@ -78,11 +78,18 @@ class ShapeService {
 
   /// Incorporates one normalized runtime for `group_id`, creating the
   /// group's tracker on first contact. Never blocks on other shards.
-  /// Negative group ids and non-finite runtimes are rejected with
-  /// InvalidArgument (and counted in shape_service_observe_rejected)
-  /// rather than clamped or dropped: a negative id would create a tracker
-  /// that RestoreState — which requires ids >= 0 — could never reload.
+  /// Inputs failing ValidateObservation are refused before any state is
+  /// touched.
   Status Observe(int group_id, double normalized_runtime);
+
+  /// The input policy of every entry point that feeds group state (Observe
+  /// here, io::RecoveryManager before it logs): negative group ids and
+  /// non-finite runtimes are rejected with InvalidArgument, and counted in
+  /// shape_service_observe_rejected, rather than clamped or dropped. A
+  /// negative id would create a tracker that RestoreState — which requires
+  /// ids >= 0 — could never reload; a clamped NaN would hide a corrupt feed
+  /// behind an OK status.
+  Status ValidateObservation(int group_id, double normalized_runtime) const;
 
   /// Posterior over shapes for the group; uniform for unknown groups.
   std::vector<double> Posterior(int group_id) const;
@@ -181,10 +188,14 @@ class ShapeService {
   /// Maintenance path: does not touch the contention counters.
   std::vector<GroupState> ExportState() const;
 
-  /// Replaces all tracker state with `states` (the restart path). Fully
+  /// Replaces all tracker state with `states` (the restart path; taken by
+  /// value so a caller done with them moves the sketches in). Fully
   /// validated before anything is touched: on error the service is
-  /// unchanged. Maintenance path: does not touch the contention counters.
-  Status RestoreState(const std::vector<GroupState>& states);
+  /// unchanged. A sketch whose k differs from options().sketch_k fails
+  /// with FailedPrecondition (the state was written under another
+  /// configuration); any other defect with InvalidArgument. Maintenance
+  /// path: does not touch the contention counters.
+  Status RestoreState(std::vector<GroupState> states);
 
   const ShapeLibrary& library() const { return *library_; }
   const Options& options() const { return options_; }

@@ -3,8 +3,8 @@
 // CRC-32 (IEEE 802.3 polynomial, reflected) for on-disk record integrity.
 // Every snapshot and WAL record carries the CRC of its payload so torn
 // writes and bit rot are detected record-by-record rather than poisoning
-// the whole file. Table-driven, incremental (a running CRC can be extended
-// chunk by chunk), and stable across platforms.
+// the whole file. Table-driven (slicing-by-8), incremental (a running CRC
+// can be extended chunk by chunk), and stable across platforms.
 
 #ifndef RVAR_IO_CRC32_H_
 #define RVAR_IO_CRC32_H_

@@ -116,98 +116,60 @@ Result<WalObservation> DecodeObservation(std::string_view payload) {
   return obs;
 }
 
-/// Decoded serving-state snapshot plus its recovery metadata.
-struct DecodedState {
-  ServingState state;
+// Durable checkpoint layout (PayloadKind::kDurableState):
+//   record 0: watermark seq, next WAL segment id, decay, pmf_floor
+//   record 1: the shape-library image (kShapeLibrary), nested verbatim
+//   record 2: the service-state image (kShapeServiceState), nested verbatim
+struct DurableImage {
   uint64_t watermark = 0;
   uint64_t next_wal_segment = 0;
+  double decay = 0.0;
+  double pmf_floor = 0.0;
+  std::unique_ptr<core::ShapeLibrary> library;
+  std::vector<core::ShapeService::GroupState> groups;
 };
 
-// Serving-state snapshot layout (PayloadKind::kServingState):
-//   record 0: watermark seq, next WAL segment id, tracker decay/floor,
-//             tracker count
-//   record 1: the full shape-library snapshot image, nested verbatim
-//   record 2..: one tracker per record (group id, counters, ll sums,
-//               then the group's KLL sketch — serialize.h wire format)
-Result<DecodedState> DecodeServingState(std::string bytes) {
+Result<DurableImage> DecodeDurableImage(std::string bytes,
+                                        SnapshotDefect* defect) {
   RVAR_ASSIGN_OR_RETURN(
       SnapshotReader reader,
-      SnapshotReader::Open(std::move(bytes), PayloadKind::kServingState));
-  if (reader.num_records() < 2) {
+      SnapshotReader::Open(std::move(bytes), PayloadKind::kDurableState,
+                           defect));
+  if (reader.num_records() != 3) {
     return Status::InvalidArgument(
-        StrCat("serving-state snapshot holds ", reader.num_records(),
-               " records, layout needs at least 2"));
+        StrCat("durable snapshot holds ", reader.num_records(),
+               " records, layout has exactly 3"));
   }
-  DecodedState decoded;
-  double decay = 1.0;
-  double pmf_floor = 1e-6;
-  uint64_t num_trackers = 0;
+  DurableImage image;
   {
     RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
     BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(decoded.watermark, r.ReadU64());
-    RVAR_ASSIGN_OR_RETURN(decoded.next_wal_segment, r.ReadU64());
-    RVAR_ASSIGN_OR_RETURN(decay, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(pmf_floor, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(num_trackers, r.ReadU64());
-    if (!r.AtEnd()) {
-      return Status::InvalidArgument("serving-state header has trailing bytes");
-    }
-  }
-  if (reader.num_records() != num_trackers + 2) {
-    return Status::InvalidArgument(
-        StrCat("snapshot promises ", num_trackers, " trackers but holds ",
-               reader.num_records(), " records"));
-  }
-  {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(1));
-    RVAR_ASSIGN_OR_RETURN(core::ShapeLibrary library,
-                          DecodeShapeLibrary(std::string(rec)));
-    decoded.state.library =
-        std::make_unique<core::ShapeLibrary>(std::move(library));
-  }
-  // One log theta table shared by every restored tracker (the same
-  // sharing ShapeService uses; per-tracker copies would cost ~13 KB each).
-  RVAR_ASSIGN_OR_RETURN(
-      std::shared_ptr<const core::ClusterLogPmf> log_pmf,
-      core::ClusterLogPmf::MakeShared(*decoded.state.library, pmf_floor));
-  for (uint64_t i = 0; i < num_trackers; ++i) {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
-                          reader.Record(static_cast<size_t>(i) + 2));
-    BinaryReader r(rec);
-    int gid = 0;
-    int64_t count = 0;
-    int64_t clamped = 0;
-    std::vector<double> ll;
-    RVAR_ASSIGN_OR_RETURN(gid, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(count, r.ReadI64());
-    RVAR_ASSIGN_OR_RETURN(clamped, r.ReadI64());
-    RVAR_ASSIGN_OR_RETURN(ll, r.ReadDoubleVector());
-    RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
+    RVAR_ASSIGN_OR_RETURN(image.watermark, r.ReadU64());
+    RVAR_ASSIGN_OR_RETURN(image.next_wal_segment, r.ReadU64());
+    RVAR_ASSIGN_OR_RETURN(image.decay, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(image.pmf_floor, r.ReadDouble());
     if (!r.AtEnd()) {
       return Status::InvalidArgument(
-          StrCat("tracker record for group ", gid, " has trailing bytes"));
+          "durable snapshot header has trailing bytes");
     }
-    // A NaN observation bumps num_clamped but neither count nor the
-    // sketch, and everything else lands in both — so the two tallies
-    // agree in any state this process could have written.
-    if (sketch.n() != count) {
-      return Status::InvalidArgument(
-          StrCat("group ", gid, " sketch holds ", sketch.n(),
-                 " samples but the tracker counted ", count));
-    }
-    RVAR_ASSIGN_OR_RETURN(
-        core::OnlineShapeTracker tracker,
-        core::OnlineShapeTracker::Make(decoded.state.library.get(), log_pmf,
-                                       decay));
-    RVAR_RETURN_NOT_OK(tracker.RestoreState(ll, count, clamped));
-    if (!decoded.state.trackers.emplace(gid, std::move(tracker)).second) {
-      return Status::InvalidArgument(
-          StrCat("group ", gid, " appears twice in the snapshot"));
-    }
-    decoded.state.sketches.emplace(gid, std::move(sketch));
   }
-  return decoded;
+  RVAR_ASSIGN_OR_RETURN(std::string_view library_rec, reader.Record(1));
+  RVAR_ASSIGN_OR_RETURN(core::ShapeLibrary library,
+                        DecodeShapeLibrary(std::string(library_rec)));
+  image.library = std::make_unique<core::ShapeLibrary>(std::move(library));
+  RVAR_ASSIGN_OR_RETURN(std::string_view groups_rec, reader.Record(2));
+  RVAR_ASSIGN_OR_RETURN(image.groups,
+                        DecodeShapeServiceState(std::string(groups_rec)));
+  return image;
+}
+
+core::ShapeService::Options ServiceOptions(
+    const RecoveryManager::Options& options) {
+  core::ShapeService::Options service;
+  service.decay = options.decay;
+  service.pmf_floor = options.pmf_floor;
+  service.sketch_k = options.sketch_k;
+  return service;
 }
 
 }  // namespace
@@ -319,9 +281,10 @@ Status RecoveryManager::Bootstrap(core::ShapeLibrary library) {
         StrCat(dir_, " already holds ", snapshot_generations_.size(),
                " snapshot generations; Recover() them instead"));
   }
-  state_.library = std::make_unique<core::ShapeLibrary>(std::move(library));
-  state_.trackers.clear();
-  state_.sketches.clear();
+  auto owned = std::make_unique<core::ShapeLibrary>(std::move(library));
+  RVAR_ASSIGN_OR_RETURN(service_, core::ShapeService::Make(
+                                      owned.get(), ServiceOptions(options_)));
+  library_ = std::move(owned);
   last_seq_ = 0;
   live_ = true;
   const Status checkpoint = Checkpoint();
@@ -336,45 +299,85 @@ Result<RecoveryReport> RecoveryManager::Recover() {
   }
   RecoveryReport report;
 
-  // Newest intact generation wins; provably corrupt newer generations are
-  // deleted so they cannot shadow the next checkpoint.
-  DecodedState decoded;
+  // Newest restorable generation wins. Generations skipped on the way are
+  // counted; the damaged ones among them are deleted once a generation has
+  // been restored, so they cannot shadow the next checkpoint.
+  DurableImage image;
+  std::unique_ptr<core::ShapeService> service;
+  std::vector<int64_t> damaged;
   int64_t loaded_gen = -1;
   for (auto it = snapshot_generations_.rbegin();
        it != snapshot_generations_.rend(); ++it) {
+    SnapshotDefect defect = SnapshotDefect::kNone;
     Result<std::string> bytes = ReadFileToString(SnapshotPath(*it));
-    if (bytes.ok()) {
-      Result<DecodedState> attempt = DecodeServingState(
-          *std::move(bytes));
-      if (attempt.ok()) {
-        decoded = *std::move(attempt);
-        loaded_gen = *it;
-        break;
+    Result<DurableImage> decoded =
+        bytes.ok() ? DecodeDurableImage(*std::move(bytes), &defect)
+                   : Result<DurableImage>(bytes.status());
+    if (decoded.ok()) {
+      if (decoded->decay != options_.decay ||
+          decoded->pmf_floor != options_.pmf_floor) {
+        return Status::FailedPrecondition(StrCat(
+            SnapshotPath(*it), " was written with decay ", decoded->decay,
+            " and pmf_floor ", decoded->pmf_floor, "; the options say ",
+            options_.decay, " and ", options_.pmf_floor));
+      }
+      auto made = core::ShapeService::Make(decoded->library.get(),
+                                           ServiceOptions(options_));
+      if (made.ok()) {
+        // A sketch k other than options.sketch_k fails FailedPrecondition.
+        const Status restored =
+            (*made)->RestoreState(std::move(decoded->groups));
+        if (restored.IsFailedPrecondition()) {
+          return Status::FailedPrecondition(
+              StrCat(SnapshotPath(*it), ": ", restored.message()));
+        }
+        if (restored.ok()) {
+          image = *std::move(decoded);
+          service = *std::move(made);
+          loaded_gen = *it;
+          break;
+        }
       }
     }
     ++report.counts[static_cast<size_t>(RecoveryReason::kSnapshotCorrupt)];
     ++report.num_snapshots_discarded;
-    RemoveQuietly(SnapshotPath(*it));
+    // Short, torn or CRC-failed bytes; an intact image of another kind or
+    // version (or a file that is no snapshot at all) stays on disk.
+    if (defect != SnapshotDefect::kNone &&
+        defect != SnapshotDefect::kBadMagic &&
+        defect != SnapshotDefect::kBadVersion &&
+        defect != SnapshotDefect::kWrongPayloadKind) {
+      damaged.push_back(*it);
+    }
   }
   if (loaded_gen < 0) {
     return Status::IOError(
-        StrCat("all ", report.num_snapshots_discarded,
-               " snapshot generations in ", dir_, " are corrupt"));
+        StrCat("none of the ", report.num_snapshots_discarded,
+               " snapshot generations in ", dir_, " can be restored"));
   }
-  snapshot_generations_.erase(
-      std::remove_if(snapshot_generations_.begin(),
-                     snapshot_generations_.end(),
-                     [&](int64_t g) { return g > loaded_gen; }),
-      snapshot_generations_.end());
-  state_ = std::move(decoded.state);
-  latest_generation_ = loaded_gen;
-  first_segment_after_[loaded_gen] = decoded.next_wal_segment;
+  for (int64_t gen : damaged) {
+    RemoveQuietly(SnapshotPath(gen));
+    snapshot_generations_.erase(std::find(snapshot_generations_.begin(),
+                                          snapshot_generations_.end(), gen));
+  }
+  // The service points into the library: replace it first.
+  service_ = std::move(service);
+  library_ = std::move(image.library);
+  // Kept generations newer than the restored one stay ahead of it, so the
+  // next checkpoint never overwrites them.
+  latest_generation_ = snapshot_generations_.back();
+  first_segment_after_[loaded_gen] = image.next_wal_segment;
   report.snapshot_generation = loaded_gen;
 
   // Replay the WAL: scan every surviving segment in id order, heal torn
-  // or corrupt tails on disk, and buffer records keyed by sequence number
-  // so duplicates and reorderings collapse deterministically.
-  std::map<uint64_t, WalObservation> pending;
+  // or corrupt tails on disk, and buffer the records newer than the
+  // snapshot in arrival order; sorting them by sequence number below
+  // collapses duplicates and reorderings deterministically.
+  struct Pending {
+    WalObservation obs;
+    bool late;  ///< arrived after a higher sequence number
+  };
+  std::vector<Pending> pending;
   uint64_t max_seq_seen = 0;
   std::vector<uint64_t> dead_segments;
   for (uint64_t seg : wal_segments_) {
@@ -408,19 +411,12 @@ Result<RecoveryReport> RecoveryManager::Recover() {
             RecoveryReason::kWalBadPayload)];
         continue;
       }
-      if (obs->seq <= decoded.watermark) {
+      if (obs->seq <= image.watermark) {
         ++report.counts[static_cast<size_t>(RecoveryReason::kWalStale)];
         continue;
       }
-      if (pending.count(obs->seq) != 0) {
-        ++report.counts[static_cast<size_t>(RecoveryReason::kWalDuplicate)];
-        continue;
-      }
-      if (obs->seq < max_seq_seen) {
-        ++report.counts[static_cast<size_t>(RecoveryReason::kWalReordered)];
-      }
+      pending.push_back({*obs, obs->seq < max_seq_seen});
       max_seq_seen = std::max(max_seq_seen, obs->seq);
-      pending.emplace(obs->seq, *obs);
     }
   }
   for (uint64_t seg : dead_segments) {
@@ -429,12 +425,31 @@ Result<RecoveryReport> RecoveryManager::Recover() {
         wal_segments_.end());
   }
 
-  last_seq_ = std::max(decoded.watermark, max_seq_seen);
+  // A record the input policy rejects still holds its sequence number, so
+  // new appends continue above it.
+  last_seq_ = std::max(image.watermark, max_seq_seen);
   live_ = true;
-  for (const auto& [seq, obs] : pending) {
-    RVAR_RETURN_NOT_OK(ApplyObservation(obs.group_id, obs.value));
+  // Sequence order; of the records sharing a number the first to arrive
+  // wins and the others are duplicates.
+  std::stable_sort(pending.begin(), pending.end(),
+                   [](const Pending& a, const Pending& b) {
+                     return a.obs.seq < b.obs.seq;
+                   });
+  for (size_t i = 0; i < pending.size(); ++i) {
+    const WalObservation& obs = pending[i].obs;
+    if (i > 0 && obs.seq == pending[i - 1].obs.seq) {
+      ++report.counts[static_cast<size_t>(RecoveryReason::kWalDuplicate)];
+      continue;
+    }
+    if (pending[i].late) {
+      ++report.counts[static_cast<size_t>(RecoveryReason::kWalReordered)];
+    }
+    if (service_->Observe(obs.group_id, obs.value).ok()) {
+      ++report.wal_records_applied;
+    } else {
+      ++report.counts[static_cast<size_t>(RecoveryReason::kWalBadPayload)];
+    }
   }
-  report.wal_records_applied = static_cast<int64_t>(pending.size());
 
   const RecoveryMetrics& metrics = RecoveryMetrics::Get();
   metrics.recover_total->Increment();
@@ -452,30 +467,14 @@ Result<RecoveryReport> RecoveryManager::Recover() {
   return report;
 }
 
-Status RecoveryManager::ApplyObservation(int group_id, double value) {
-  auto it = state_.trackers.find(group_id);
-  if (it == state_.trackers.end()) {
-    RVAR_ASSIGN_OR_RETURN(
-        core::OnlineShapeTracker tracker,
-        core::OnlineShapeTracker::Make(state_.library.get(), options_.decay,
-                                       options_.pmf_floor));
-    RVAR_ASSIGN_OR_RETURN(KllSketch sketch, KllSketch::Make(options_.sketch_k));
-    it = state_.trackers.emplace(group_id, std::move(tracker)).first;
-    state_.sketches.emplace(group_id, std::move(sketch));
-  }
-  it->second.Observe(value);
-  // UpdateClamped mirrors the tracker's non-finite handling (NaN dropped,
-  // +/-inf clamped to the grid edge), keeping sketch.n() == count — the
-  // invariant DecodeServingState enforces.
-  state_.sketches.at(group_id).UpdateClamped(state_.library->grid(), value);
-  return Status::OK();
-}
-
 Status RecoveryManager::Observe(int group_id, double normalized_runtime) {
   if (!live_ || wal_ == nullptr) {
     return Status::FailedPrecondition(
         "Observe requires live state (Bootstrap() or Recover() first)");
   }
+  // The service's own input policy, applied before anything is logged.
+  RVAR_RETURN_NOT_OK(
+      service_->ValidateObservation(group_id, normalized_runtime));
   const uint64_t seq = last_seq_ + 1;
   const std::string record =
       EncodeObservation(seq, group_id, normalized_runtime);
@@ -485,33 +484,40 @@ Status RecoveryManager::Observe(int group_id, double normalized_runtime) {
   metrics.wal_append_bytes_total->Increment(
       static_cast<int64_t>(record.size()));
   last_seq_ = seq;
-  return ApplyObservation(group_id, normalized_runtime);
+  return service_->Observe(group_id, normalized_runtime);
+}
+
+ServingState RecoveryManager::state() const {
+  ServingState view;
+  if (service_ == nullptr) return view;
+  view.library = library_.get();
+  // One log theta table for every tracker of the view; the options were
+  // validated when the service was built, so nothing below can fail.
+  const std::shared_ptr<const core::ClusterLogPmf> log_pmf =
+      *core::ClusterLogPmf::MakeShared(*library_, options_.pmf_floor);
+  for (core::ShapeService::GroupState& group : service_->ExportState()) {
+    core::OnlineShapeTracker tracker = *core::OnlineShapeTracker::Make(
+        library_.get(), log_pmf, options_.decay);
+    const Status restored = tracker.RestoreState(
+        group.log_likelihood, group.count, group.num_clamped);
+    RVAR_CHECK(restored.ok());
+    view.trackers.emplace(group.group_id, std::move(tracker));
+    view.sketches.emplace(group.group_id, *std::move(group.sketch));
+  }
+  return view;
 }
 
 Status RecoveryManager::WriteSnapshot(int64_t generation,
                                       uint64_t next_wal_segment) {
-  SnapshotWriter snap(PayloadKind::kServingState);
-  {
-    BinaryWriter w;
-    w.PutU64(last_seq_);
-    w.PutU64(next_wal_segment);
-    w.PutDouble(options_.decay);
-    w.PutDouble(options_.pmf_floor);
-    w.PutU64(state_.trackers.size());
-    snap.AddRecord(w.bytes());
-  }
-  snap.AddRecord(EncodeShapeLibrary(*state_.library));
-  for (const auto& [gid, tracker] : state_.trackers) {
-    const auto sketch_it = state_.sketches.find(gid);
-    RVAR_CHECK(sketch_it != state_.sketches.end());
-    BinaryWriter w;
-    w.PutI32(gid);
-    w.PutI64(tracker.count());
-    w.PutI64(tracker.num_clamped());
-    w.PutDoubleVector(tracker.log_likelihood());
-    EncodeKllSketchInto(sketch_it->second, &w);
-    snap.AddRecord(w.bytes());
-  }
+  SnapshotWriter snap(PayloadKind::kDurableState);
+  BinaryWriter header;
+  header.PutU64(last_seq_);
+  header.PutU64(next_wal_segment);
+  header.PutDouble(options_.decay);
+  header.PutDouble(options_.pmf_floor);
+  snap.AddRecord(header.bytes());
+  snap.AddRecord(EncodeShapeLibrary(*library_));
+  snap.AddRecord(EncodeShapeServiceState(*service_));
   const std::string image = snap.Finish();
   RecoveryMetrics::Get().snapshot_bytes_total->Increment(
       static_cast<int64_t>(image.size()));

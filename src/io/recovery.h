@@ -1,14 +1,17 @@
 // Copyright 2026 The rvar Authors.
 //
 // Crash-safe persistence for the serving state (DESIGN.md §7): the shape
-// library plus the per-group online trackers that accumulate streaming
-// observations. Observations are appended to a checksummed WAL as they
-// arrive; Checkpoint() writes a versioned snapshot generation atomically
-// and rotates the WAL; Recover() rebuilds the state after a crash by
-// loading the newest intact snapshot generation and replaying the WAL tail
-// — truncating torn writes, dropping duplicated/reordered/stale records,
-// and reporting exact per-reason counts of everything it repaired
-// (mirroring the TelemetryStore quarantine accounting).
+// library plus one core::ShapeService holding the per-group trackers and
+// sketches that accumulate streaming observations. RecoveryManager is a
+// log-then-apply wrapper around that service: Observe() checks the input
+// with the service's own policy, appends it to a checksummed WAL, then
+// applies it; Checkpoint() writes a versioned snapshot generation
+// atomically and rotates the WAL; Recover() rebuilds the service after a
+// crash by restoring the newest intact snapshot generation and replaying
+// the WAL tail through the same Observe — truncating torn writes, dropping
+// duplicated/reordered/stale records, and reporting exact per-reason
+// counts of everything it repaired (mirroring the TelemetryStore
+// quarantine accounting).
 
 #ifndef RVAR_IO_RECOVERY_H_
 #define RVAR_IO_RECOVERY_H_
@@ -24,6 +27,7 @@
 #include "common/status.h"
 #include "core/online.h"
 #include "core/shape_library.h"
+#include "core/shape_service.h"
 #include "io/snapshot.h"
 #include "io/wal.h"
 #include "stats/kll_sketch.h"
@@ -64,17 +68,17 @@ struct RecoveryReport {
   std::string ToString() const;
 };
 
-/// \brief The recoverable serving state: the shape library and the
-/// per-group streaming trackers built on top of it.
+/// \brief A read-only copy of the recoverable serving state, built on
+/// demand by RecoveryManager::state() from the service's exported state:
+/// the shape library and, per tracked group, its tracker and its sketch.
 struct ServingState {
-  /// unique_ptr so the trackers' library pointer stays stable across
-  /// moves of the ServingState itself.
-  std::unique_ptr<core::ShapeLibrary> library;
-  /// Ordered by group id (deterministic checkpoint images).
+  /// Owned by the RecoveryManager; valid while it lives. Null before
+  /// Bootstrap()/Recover().
+  const core::ShapeLibrary* library = nullptr;
+  /// Ordered by group id. The trackers share one log theta table.
   std::map<int, core::OnlineShapeTracker> trackers;
   /// One bounded quantile sketch per tracked group, same keys as
-  /// `trackers`: the per-group distribution summary that survives restarts
-  /// alongside the discounted log-likelihood sums.
+  /// `trackers`.
   std::map<int, KllSketch> sketches;
 };
 
@@ -88,13 +92,13 @@ struct ServingState {
 class RecoveryManager {
  public:
   struct Options {
-    /// Tracker decay / floor used for groups first seen via Observe.
+    /// The ShapeService's tracker decay / probability floor and sketch k
+    /// (core::ShapeService::Options; the service's other options keep
+    /// their defaults). A snapshot records the values it was written
+    /// under, and Recover() refuses one written under other values with
+    /// FailedPrecondition instead of mixing configurations.
     double decay = 1.0;
     double pmf_floor = 1e-6;
-    /// KllSketch accuracy knob for per-group sketches created on first
-    /// sight. Snapshots embed each sketch's own k, so a directory written
-    /// with one value recovers intact under another; only new groups pick
-    /// up the changed setting.
     int sketch_k = 200;
     /// Snapshot generations retained after a checkpoint (>= 1). Older
     /// generations and the WAL segments they would replay are pruned.
@@ -121,19 +125,27 @@ class RecoveryManager {
 
   /// Rebuilds the serving state from disk: newest intact snapshot
   /// generation plus the surviving WAL records. NotFound if the directory
-  /// holds no snapshot; IOError if every generation is corrupt.
+  /// holds no snapshot; IOError if no generation can be restored;
+  /// FailedPrecondition if the newest readable generation was written
+  /// under other decay/pmf_floor/sketch_k options. Only generations whose
+  /// bytes fail the container checks (short, torn, CRC) are deleted, and
+  /// only once a generation has been restored; an intact image this build
+  /// cannot use (another payload kind or version) is skipped and kept.
   Result<RecoveryReport> Recover();
 
-  /// Durably logs one observation and applies it to the group's tracker
-  /// (created on first sight). Requires a live state.
+  /// Checks the observation with the service's input policy
+  /// (core::ShapeService::ValidateObservation: InvalidArgument for a
+  /// negative id or a non-finite runtime, and nothing logged), durably
+  /// logs it, then applies it to the service. Requires a live state.
   Status Observe(int group_id, double normalized_runtime);
 
   /// Writes the next snapshot generation atomically, rotates the WAL, and
   /// prunes generations/segments beyond keep_snapshots.
   Status Checkpoint();
 
-  /// The live state (library set after Bootstrap()/Recover()).
-  const ServingState& state() const { return state_; }
+  /// A copy of the live state (library set after Bootstrap()/Recover()),
+  /// built from the service's exported state on every call.
+  ServingState state() const;
 
   /// Sequence number of the last observation logged or replayed.
   uint64_t last_sequence() const { return last_seq_; }
@@ -152,13 +164,12 @@ class RecoveryManager {
   Status WriteSnapshot(int64_t generation, uint64_t next_wal_segment);
   Status RotateWal();
   void Prune();
-  /// Applies one observation to the group's tracker, creating it on first
-  /// sight with the manager's decay/floor options.
-  Status ApplyObservation(int group_id, double value);
 
   std::string dir_;
   Options options_;
-  ServingState state_;
+  /// Declared before service_, which points into it: destroyed after it.
+  std::unique_ptr<core::ShapeLibrary> library_;
+  std::unique_ptr<core::ShapeService> service_;
   bool live_ = false;
 
   std::vector<int64_t> snapshot_generations_;  ///< ascending

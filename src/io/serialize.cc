@@ -16,6 +16,7 @@ namespace rvar {
 namespace io {
 namespace {
 
+
 // Smallest possible encodings, used to reject hostile count prefixes
 // before allocating (`count * kMin... <= remaining` guards).
 constexpr size_t kMinNodeBytes = 4 + 8 + 4 + 4 + 8 + 8;  // empty value vec
@@ -83,149 +84,7 @@ Status ExpectRecordEnd(const BinaryReader& r, const char* what) {
   return Status::OK();
 }
 
-// --- ShapeLibrary --------------------------------------------------------
-//
-// record 0: config, inertia, num_skipped_groups, num_clusters
-// record 1..k: cluster PMF + ShapeStats
-// record k+1: reference group ids + parallel cluster assignments
-
-std::string EncodeShapeLibraryImage(const core::ShapeLibrary& library) {
-  SnapshotWriter snap(PayloadKind::kShapeLibrary);
-  const core::ShapeLibraryConfig& config = library.config();
-  {
-    BinaryWriter w;
-    w.PutU8(static_cast<uint8_t>(config.normalization));
-    w.PutI32(config.num_bins);
-    w.PutI32(config.smoothing_radius);
-    w.PutI32(config.min_support);
-    w.PutI32(config.num_clusters);
-    w.PutI32(config.kmeans.k);
-    w.PutI32(config.kmeans.max_iterations);
-    w.PutI32(config.kmeans.num_restarts);
-    w.PutDouble(config.kmeans.tolerance);
-    w.PutU64(config.kmeans.seed);
-    w.PutDouble(library.inertia());
-    w.PutI32(library.num_skipped_groups());
-    w.PutI32(library.num_clusters());
-    snap.AddRecord(w.bytes());
-  }
-  for (int k = 0; k < library.num_clusters(); ++k) {
-    BinaryWriter w;
-    w.PutDoubleVector(library.shape(k));
-    const core::ShapeStats& s = library.stats(k);
-    w.PutDouble(s.outlier_probability);
-    w.PutDouble(s.iqr);
-    w.PutDouble(s.p95);
-    w.PutDouble(s.stddev);
-    w.PutI64(s.num_samples);
-    w.PutI32(s.num_groups);
-    snap.AddRecord(w.bytes());
-  }
-  {
-    BinaryWriter w;
-    const std::vector<int>& groups = library.reference_groups();
-    std::vector<int> assignment(groups.size());
-    for (size_t i = 0; i < groups.size(); ++i) {
-      assignment[i] = library.ReferenceAssignment(groups[i]);
-    }
-    w.PutI32Vector(groups);
-    w.PutI32Vector(assignment);
-    snap.AddRecord(w.bytes());
-  }
-  return snap.Finish();
-}
-
-Result<core::ShapeLibrary> DecodeShapeLibraryImage(std::string bytes,
-                                                   SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenSnapshot(std::move(bytes), PayloadKind::kShapeLibrary, 2, defect));
-
-  core::ShapeLibraryConfig config;
-  double inertia = 0.0;
-  int num_skipped = 0;
-  int num_clusters = 0;
-  {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(uint8_t norm, r.ReadU8());
-    if (norm > static_cast<uint8_t>(core::Normalization::kDelta)) {
-      return Status::InvalidArgument(
-          StrCat("unknown normalization tag ", norm));
-    }
-    config.normalization = static_cast<core::Normalization>(norm);
-    RVAR_ASSIGN_OR_RETURN(config.num_bins, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(config.smoothing_radius, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(config.min_support, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(config.num_clusters, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(config.kmeans.k, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(config.kmeans.max_iterations, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(config.kmeans.num_restarts, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(config.kmeans.tolerance, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(config.kmeans.seed, r.ReadU64());
-    RVAR_ASSIGN_OR_RETURN(inertia, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(num_skipped, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(num_clusters, r.ReadI32());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "shape-library config"));
-  }
-  if (num_clusters < 0 ||
-      reader.num_records() != static_cast<size_t>(num_clusters) + 2) {
-    return Status::InvalidArgument(
-        StrCat("snapshot promises ", num_clusters, " clusters but holds ",
-               reader.num_records(), " records"));
-  }
-
-  std::vector<std::vector<double>> shapes;
-  std::vector<core::ShapeStats> stats;
-  shapes.reserve(static_cast<size_t>(num_clusters));
-  stats.reserve(static_cast<size_t>(num_clusters));
-  for (int k = 0; k < num_clusters; ++k) {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
-                          reader.Record(static_cast<size_t>(k) + 1));
-    BinaryReader r(rec);
-    core::ShapeStats s;
-    RVAR_ASSIGN_OR_RETURN(std::vector<double> pmf, r.ReadDoubleVector());
-    RVAR_ASSIGN_OR_RETURN(s.outlier_probability, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(s.iqr, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(s.p95, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(s.stddev, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(s.num_samples, r.ReadI64());
-    RVAR_ASSIGN_OR_RETURN(s.num_groups, r.ReadI32());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "cluster"));
-    shapes.push_back(std::move(pmf));
-    stats.push_back(s);
-  }
-
-  std::vector<int> groups;
-  std::unordered_map<int, int> assignment;
-  {
-    RVAR_ASSIGN_OR_RETURN(
-        std::string_view rec,
-        reader.Record(static_cast<size_t>(num_clusters) + 1));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(groups, r.ReadI32Vector());
-    RVAR_ASSIGN_OR_RETURN(std::vector<int> clusters, r.ReadI32Vector());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "assignment"));
-    if (clusters.size() != groups.size()) {
-      return Status::InvalidArgument(
-          StrCat(groups.size(), " reference groups but ", clusters.size(),
-                 " assignments"));
-    }
-    assignment.reserve(groups.size());
-    for (size_t i = 0; i < groups.size(); ++i) {
-      assignment[groups[i]] = clusters[i];
-    }
-  }
-  return core::ShapeLibrary::Restore(config, std::move(shapes),
-                                     std::move(stats), std::move(groups),
-                                     std::move(assignment), inertia,
-                                     num_skipped);
-}
-
-// --- GBDT ----------------------------------------------------------------
-//
-// record 0: config, num_classes, rounds, base_scores, importance
-// record 1..: one tree per record, class-major ([k][r] order)
+// --- GBDT config ---------------------------------------------------------
 
 void EncodeGbdtConfig(const ml::GbdtConfig& c, BinaryWriter* w) {
   w->PutI32(c.num_rounds);
@@ -260,82 +119,7 @@ Status DecodeGbdtConfig(BinaryReader* r, ml::GbdtConfig* c) {
   return Status::OK();
 }
 
-std::string EncodeGbdtImage(const ml::GbdtClassifier& model) {
-  SnapshotWriter snap(PayloadKind::kGbdtClassifier);
-  {
-    BinaryWriter w;
-    EncodeGbdtConfig(model.config(), &w);
-    w.PutI32(model.num_classes());
-    w.PutI32(model.rounds_used());
-    std::vector<double> base_scores(
-        static_cast<size_t>(model.num_classes()));
-    for (int k = 0; k < model.num_classes(); ++k) {
-      base_scores[static_cast<size_t>(k)] = model.base_score(k);
-    }
-    w.PutDoubleVector(base_scores);
-    w.PutDoubleVector(model.feature_importance());
-    snap.AddRecord(w.bytes());
-  }
-  for (int k = 0; k < model.num_classes(); ++k) {
-    for (const ml::Tree& tree : model.trees_for_class(k)) {
-      BinaryWriter w;
-      EncodeTree(tree, &w);
-      snap.AddRecord(w.bytes());
-    }
-  }
-  return snap.Finish();
-}
-
-Result<ml::GbdtClassifier> DecodeGbdtImage(std::string bytes,
-                                           SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenSnapshot(std::move(bytes), PayloadKind::kGbdtClassifier, 1,
-                   defect));
-  ml::GbdtConfig config;
-  int num_classes = 0;
-  int rounds = 0;
-  std::vector<double> base_scores;
-  std::vector<double> importance;
-  {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-    BinaryReader r(rec);
-    RVAR_RETURN_NOT_OK(DecodeGbdtConfig(&r, &config));
-    RVAR_ASSIGN_OR_RETURN(num_classes, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(rounds, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(base_scores, r.ReadDoubleVector());
-    RVAR_ASSIGN_OR_RETURN(importance, r.ReadDoubleVector());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "gbdt header"));
-  }
-  if (num_classes < 0 || rounds < 0 ||
-      reader.num_records() !=
-          1 + static_cast<size_t>(num_classes) * static_cast<size_t>(rounds)) {
-    return Status::InvalidArgument(
-        StrCat("snapshot promises ", num_classes, " classes x ", rounds,
-               " rounds but holds ", reader.num_records(), " records"));
-  }
-  std::vector<std::vector<ml::Tree>> trees(static_cast<size_t>(num_classes));
-  size_t next = 1;
-  for (int k = 0; k < num_classes; ++k) {
-    trees[static_cast<size_t>(k)].reserve(static_cast<size_t>(rounds));
-    for (int round = 0; round < rounds; ++round) {
-      RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(next++));
-      BinaryReader r(rec);
-      RVAR_ASSIGN_OR_RETURN(ml::Tree tree, DecodeTree(&r));
-      RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "tree"));
-      trees[static_cast<size_t>(k)].push_back(std::move(tree));
-    }
-  }
-  return ml::GbdtClassifier::Restore(config, num_classes,
-                                     std::move(base_scores),
-                                     std::move(trees), std::move(importance));
-}
-
-// --- Random forests ------------------------------------------------------
-//
-// record 0: config, (num_classes for the classifier), num_trees,
-//           importance
-// record 1..: one tree per record
+// --- Random forest helpers -----------------------------------------------
 
 void EncodeForestConfig(const ml::ForestConfig& c, BinaryWriter* w) {
   w->PutI32(c.num_trees);
@@ -430,93 +214,7 @@ Result<ForestParts> DecodeForestImage(std::string bytes, bool classifier,
   return parts;
 }
 
-// --- Featurizer history --------------------------------------------------
-//
-// record 0: group count
-// record 1..: one group per record (id, support, aggregates, SKU mix)
-
-std::string EncodeFeaturizerImage(const core::Featurizer& featurizer) {
-  SnapshotWriter snap(PayloadKind::kFeaturizerState);
-  std::vector<int> gids;
-  gids.reserve(featurizer.history().size());
-  for (const auto& [gid, h] : featurizer.history()) gids.push_back(gid);
-  std::sort(gids.begin(), gids.end());  // deterministic images
-  {
-    BinaryWriter w;
-    w.PutU64(gids.size());
-    snap.AddRecord(w.bytes());
-  }
-  for (int gid : gids) {
-    const core::Featurizer::GroupHistory& h = featurizer.history().at(gid);
-    BinaryWriter w;
-    w.PutI32(gid);
-    w.PutI32(h.support);
-    w.PutDouble(h.input_mean);
-    w.PutDouble(h.input_std);
-    w.PutDouble(h.temp_mean);
-    w.PutDouble(h.vertices_mean);
-    w.PutDouble(h.max_tokens_mean);
-    w.PutDouble(h.max_tokens_std);
-    w.PutDouble(h.avg_tokens_mean);
-    w.PutDouble(h.spare_tokens_mean);
-    w.PutDouble(h.runtime_median);
-    w.PutDoubleVector(h.sku_frac);
-    snap.AddRecord(w.bytes());
-  }
-  return snap.Finish();
-}
-
-Status DecodeFeaturizerImage(std::string bytes, core::Featurizer* featurizer,
-                             SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenSnapshot(std::move(bytes), PayloadKind::kFeaturizerState, 1,
-                   defect));
-  uint64_t num_groups = 0;
-  {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(num_groups, r.ReadU64());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "featurizer header"));
-  }
-  if (reader.num_records() != num_groups + 1) {
-    return Status::InvalidArgument(
-        StrCat("snapshot promises ", num_groups, " groups but holds ",
-               reader.num_records(), " records"));
-  }
-  std::unordered_map<int, core::Featurizer::GroupHistory> history;
-  history.reserve(static_cast<size_t>(num_groups));
-  for (uint64_t i = 0; i < num_groups; ++i) {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
-                          reader.Record(static_cast<size_t>(i) + 1));
-    BinaryReader r(rec);
-    int gid = 0;
-    core::Featurizer::GroupHistory h;
-    RVAR_ASSIGN_OR_RETURN(gid, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(h.support, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(h.input_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.input_std, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.temp_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.vertices_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.max_tokens_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.max_tokens_std, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.avg_tokens_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.spare_tokens_mean, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.runtime_median, r.ReadDouble());
-    RVAR_ASSIGN_OR_RETURN(h.sku_frac, r.ReadDoubleVector());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "group history"));
-    if (!history.emplace(gid, std::move(h)).second) {
-      return Status::InvalidArgument(
-          StrCat("group ", gid, " appears twice in the snapshot"));
-    }
-  }
-  return featurizer->RestoreHistory(std::move(history));
-}
-
-// --- TelemetryStore ------------------------------------------------------
-//
-// record 0: run count, quarantined count, per-reason quarantine counts
-// record 1..: one JobRun per record (indexed runs, then quarantined)
+// --- JobRun --------------------------------------------------------------
 
 void EncodeJobRun(const sim::JobRun& run, BinaryWriter* w) {
   w->PutI32(run.group_id);
@@ -589,7 +287,326 @@ Result<sim::JobRun> DecodeJobRun(BinaryReader* r) {
   return run;
 }
 
-std::string EncodeTelemetryImage(const sim::TelemetryStore& store) {
+// --- KllSketch bit-cast helpers ------------------------------------------
+
+uint32_t FloatBits(float v) {
+  uint32_t bits;
+  std::memcpy(&bits, &v, sizeof(bits));
+  return bits;
+}
+
+float FloatFromBits(uint32_t bits) {
+  float v;
+  std::memcpy(&v, &bits, sizeof(v));
+  return v;
+}
+
+}  // namespace
+
+// --- ShapeLibrary --------------------------------------------------------
+//
+// record 0: config, inertia, num_skipped_groups, num_clusters
+// record 1..k: cluster PMF + ShapeStats
+// record k+1: reference group ids + parallel cluster assignments
+
+std::string EncodeShapeLibrary(const core::ShapeLibrary& library) {
+  SnapshotWriter snap(PayloadKind::kShapeLibrary);
+  const core::ShapeLibraryConfig& config = library.config();
+  {
+    BinaryWriter w;
+    w.PutU8(static_cast<uint8_t>(config.normalization));
+    w.PutI32(config.num_bins);
+    w.PutI32(config.smoothing_radius);
+    w.PutI32(config.min_support);
+    w.PutI32(config.num_clusters);
+    w.PutI32(config.kmeans.k);
+    w.PutI32(config.kmeans.max_iterations);
+    w.PutI32(config.kmeans.num_restarts);
+    w.PutDouble(config.kmeans.tolerance);
+    w.PutU64(config.kmeans.seed);
+    w.PutDouble(library.inertia());
+    w.PutI32(library.num_skipped_groups());
+    w.PutI32(library.num_clusters());
+    snap.AddRecord(w.bytes());
+  }
+  for (int k = 0; k < library.num_clusters(); ++k) {
+    BinaryWriter w;
+    w.PutDoubleVector(library.shape(k));
+    const core::ShapeStats& s = library.stats(k);
+    w.PutDouble(s.outlier_probability);
+    w.PutDouble(s.iqr);
+    w.PutDouble(s.p95);
+    w.PutDouble(s.stddev);
+    w.PutI64(s.num_samples);
+    w.PutI32(s.num_groups);
+    snap.AddRecord(w.bytes());
+  }
+  {
+    BinaryWriter w;
+    const std::vector<int>& groups = library.reference_groups();
+    std::vector<int> assignment(groups.size());
+    for (size_t i = 0; i < groups.size(); ++i) {
+      assignment[i] = library.ReferenceAssignment(groups[i]);
+    }
+    w.PutI32Vector(groups);
+    w.PutI32Vector(assignment);
+    snap.AddRecord(w.bytes());
+  }
+  return snap.Finish();
+}
+
+Result<core::ShapeLibrary> DecodeShapeLibrary(std::string bytes,
+                                              SnapshotDefect* defect) {
+  RVAR_ASSIGN_OR_RETURN(
+      SnapshotReader reader,
+      OpenSnapshot(std::move(bytes), PayloadKind::kShapeLibrary, 2, defect));
+
+  core::ShapeLibraryConfig config;
+  double inertia = 0.0;
+  int num_skipped = 0;
+  int num_clusters = 0;
+  {
+    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
+    BinaryReader r(rec);
+    RVAR_ASSIGN_OR_RETURN(uint8_t norm, r.ReadU8());
+    if (norm > static_cast<uint8_t>(core::Normalization::kDelta)) {
+      return Status::InvalidArgument(
+          StrCat("unknown normalization tag ", norm));
+    }
+    config.normalization = static_cast<core::Normalization>(norm);
+    RVAR_ASSIGN_OR_RETURN(config.num_bins, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(config.smoothing_radius, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(config.min_support, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(config.num_clusters, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(config.kmeans.k, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(config.kmeans.max_iterations, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(config.kmeans.num_restarts, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(config.kmeans.tolerance, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(config.kmeans.seed, r.ReadU64());
+    RVAR_ASSIGN_OR_RETURN(inertia, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(num_skipped, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(num_clusters, r.ReadI32());
+    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "shape-library config"));
+  }
+  if (num_clusters < 0 ||
+      reader.num_records() != static_cast<size_t>(num_clusters) + 2) {
+    return Status::InvalidArgument(
+        StrCat("snapshot promises ", num_clusters, " clusters but holds ",
+               reader.num_records(), " records"));
+  }
+
+  std::vector<std::vector<double>> shapes;
+  std::vector<core::ShapeStats> stats;
+  shapes.reserve(static_cast<size_t>(num_clusters));
+  stats.reserve(static_cast<size_t>(num_clusters));
+  for (int k = 0; k < num_clusters; ++k) {
+    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
+                          reader.Record(static_cast<size_t>(k) + 1));
+    BinaryReader r(rec);
+    core::ShapeStats s;
+    RVAR_ASSIGN_OR_RETURN(std::vector<double> pmf, r.ReadDoubleVector());
+    RVAR_ASSIGN_OR_RETURN(s.outlier_probability, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(s.iqr, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(s.p95, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(s.stddev, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(s.num_samples, r.ReadI64());
+    RVAR_ASSIGN_OR_RETURN(s.num_groups, r.ReadI32());
+    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "cluster"));
+    shapes.push_back(std::move(pmf));
+    stats.push_back(s);
+  }
+
+  std::vector<int> groups;
+  std::unordered_map<int, int> assignment;
+  {
+    RVAR_ASSIGN_OR_RETURN(
+        std::string_view rec,
+        reader.Record(static_cast<size_t>(num_clusters) + 1));
+    BinaryReader r(rec);
+    RVAR_ASSIGN_OR_RETURN(groups, r.ReadI32Vector());
+    RVAR_ASSIGN_OR_RETURN(std::vector<int> clusters, r.ReadI32Vector());
+    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "assignment"));
+    if (clusters.size() != groups.size()) {
+      return Status::InvalidArgument(
+          StrCat(groups.size(), " reference groups but ", clusters.size(),
+                 " assignments"));
+    }
+    assignment.reserve(groups.size());
+    for (size_t i = 0; i < groups.size(); ++i) {
+      assignment[groups[i]] = clusters[i];
+    }
+  }
+  return core::ShapeLibrary::Restore(config, std::move(shapes),
+                                     std::move(stats), std::move(groups),
+                                     std::move(assignment), inertia,
+                                     num_skipped);
+}
+
+// --- GBDT ----------------------------------------------------------------
+//
+// record 0: config, num_classes, rounds, base_scores, importance
+// record 1..: one tree per record, class-major ([k][r] order)
+
+std::string EncodeGbdtClassifier(const ml::GbdtClassifier& model) {
+  SnapshotWriter snap(PayloadKind::kGbdtClassifier);
+  {
+    BinaryWriter w;
+    EncodeGbdtConfig(model.config(), &w);
+    w.PutI32(model.num_classes());
+    w.PutI32(model.rounds_used());
+    std::vector<double> base_scores(
+        static_cast<size_t>(model.num_classes()));
+    for (int k = 0; k < model.num_classes(); ++k) {
+      base_scores[static_cast<size_t>(k)] = model.base_score(k);
+    }
+    w.PutDoubleVector(base_scores);
+    w.PutDoubleVector(model.feature_importance());
+    snap.AddRecord(w.bytes());
+  }
+  for (int k = 0; k < model.num_classes(); ++k) {
+    for (const ml::Tree& tree : model.trees_for_class(k)) {
+      BinaryWriter w;
+      EncodeTree(tree, &w);
+      snap.AddRecord(w.bytes());
+    }
+  }
+  return snap.Finish();
+}
+
+Result<ml::GbdtClassifier> DecodeGbdtClassifier(std::string bytes,
+                                                SnapshotDefect* defect) {
+  RVAR_ASSIGN_OR_RETURN(
+      SnapshotReader reader,
+      OpenSnapshot(std::move(bytes), PayloadKind::kGbdtClassifier, 1,
+                   defect));
+  ml::GbdtConfig config;
+  int num_classes = 0;
+  int rounds = 0;
+  std::vector<double> base_scores;
+  std::vector<double> importance;
+  {
+    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
+    BinaryReader r(rec);
+    RVAR_RETURN_NOT_OK(DecodeGbdtConfig(&r, &config));
+    RVAR_ASSIGN_OR_RETURN(num_classes, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(rounds, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(base_scores, r.ReadDoubleVector());
+    RVAR_ASSIGN_OR_RETURN(importance, r.ReadDoubleVector());
+    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "gbdt header"));
+  }
+  if (num_classes < 0 || rounds < 0 ||
+      reader.num_records() !=
+          1 + static_cast<size_t>(num_classes) * static_cast<size_t>(rounds)) {
+    return Status::InvalidArgument(
+        StrCat("snapshot promises ", num_classes, " classes x ", rounds,
+               " rounds but holds ", reader.num_records(), " records"));
+  }
+  std::vector<std::vector<ml::Tree>> trees(static_cast<size_t>(num_classes));
+  size_t next = 1;
+  for (int k = 0; k < num_classes; ++k) {
+    trees[static_cast<size_t>(k)].reserve(static_cast<size_t>(rounds));
+    for (int round = 0; round < rounds; ++round) {
+      RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(next++));
+      BinaryReader r(rec);
+      RVAR_ASSIGN_OR_RETURN(ml::Tree tree, DecodeTree(&r));
+      RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "tree"));
+      trees[static_cast<size_t>(k)].push_back(std::move(tree));
+    }
+  }
+  return ml::GbdtClassifier::Restore(config, num_classes,
+                                     std::move(base_scores),
+                                     std::move(trees), std::move(importance));
+}
+
+// --- Featurizer history --------------------------------------------------
+//
+// record 0: group count
+// record 1..: one group per record (id, support, aggregates, SKU mix)
+
+std::string EncodeFeaturizerState(const core::Featurizer& featurizer) {
+  SnapshotWriter snap(PayloadKind::kFeaturizerState);
+  std::vector<int> gids;
+  gids.reserve(featurizer.history().size());
+  for (const auto& [gid, h] : featurizer.history()) gids.push_back(gid);
+  std::sort(gids.begin(), gids.end());  // deterministic images
+  {
+    BinaryWriter w;
+    w.PutU64(gids.size());
+    snap.AddRecord(w.bytes());
+  }
+  for (int gid : gids) {
+    const core::Featurizer::GroupHistory& h = featurizer.history().at(gid);
+    BinaryWriter w;
+    w.PutI32(gid);
+    w.PutI32(h.support);
+    w.PutDouble(h.input_mean);
+    w.PutDouble(h.input_std);
+    w.PutDouble(h.temp_mean);
+    w.PutDouble(h.vertices_mean);
+    w.PutDouble(h.max_tokens_mean);
+    w.PutDouble(h.max_tokens_std);
+    w.PutDouble(h.avg_tokens_mean);
+    w.PutDouble(h.spare_tokens_mean);
+    w.PutDouble(h.runtime_median);
+    w.PutDoubleVector(h.sku_frac);
+    snap.AddRecord(w.bytes());
+  }
+  return snap.Finish();
+}
+
+Status DecodeFeaturizerState(std::string bytes, core::Featurizer* featurizer,
+                             SnapshotDefect* defect) {
+  RVAR_ASSIGN_OR_RETURN(
+      SnapshotReader reader,
+      OpenSnapshot(std::move(bytes), PayloadKind::kFeaturizerState, 1,
+                   defect));
+  uint64_t num_groups = 0;
+  {
+    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
+    BinaryReader r(rec);
+    RVAR_ASSIGN_OR_RETURN(num_groups, r.ReadU64());
+    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "featurizer header"));
+  }
+  if (reader.num_records() != num_groups + 1) {
+    return Status::InvalidArgument(
+        StrCat("snapshot promises ", num_groups, " groups but holds ",
+               reader.num_records(), " records"));
+  }
+  std::unordered_map<int, core::Featurizer::GroupHistory> history;
+  history.reserve(static_cast<size_t>(num_groups));
+  for (uint64_t i = 0; i < num_groups; ++i) {
+    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
+                          reader.Record(static_cast<size_t>(i) + 1));
+    BinaryReader r(rec);
+    int gid = 0;
+    core::Featurizer::GroupHistory h;
+    RVAR_ASSIGN_OR_RETURN(gid, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(h.support, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(h.input_mean, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(h.input_std, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(h.temp_mean, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(h.vertices_mean, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(h.max_tokens_mean, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(h.max_tokens_std, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(h.avg_tokens_mean, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(h.spare_tokens_mean, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(h.runtime_median, r.ReadDouble());
+    RVAR_ASSIGN_OR_RETURN(h.sku_frac, r.ReadDoubleVector());
+    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "group history"));
+    if (!history.emplace(gid, std::move(h)).second) {
+      return Status::InvalidArgument(
+          StrCat("group ", gid, " appears twice in the snapshot"));
+    }
+  }
+  return featurizer->RestoreHistory(std::move(history));
+}
+
+// --- TelemetryStore ------------------------------------------------------
+//
+// record 0: run count, quarantined count, per-reason quarantine counts
+// record 1..: one JobRun per record (indexed runs, then quarantined)
+
+std::string EncodeTelemetryStore(const sim::TelemetryStore& store) {
   SnapshotWriter snap(PayloadKind::kTelemetryStore);
   {
     BinaryWriter w;
@@ -614,7 +631,7 @@ std::string EncodeTelemetryImage(const sim::TelemetryStore& store) {
   return snap.Finish();
 }
 
-Result<sim::TelemetryStore> DecodeTelemetryImage(std::string bytes,
+Result<sim::TelemetryStore> DecodeTelemetryStore(std::string bytes,
                                                  SnapshotDefect* defect) {
   RVAR_ASSIGN_OR_RETURN(
       SnapshotReader reader,
@@ -670,269 +687,7 @@ Result<sim::TelemetryStore> DecodeTelemetryImage(std::string bytes,
   return store;
 }
 
-// --- KllSketch (bit-cast helpers + standalone container) -----------------
-
-uint32_t FloatBits(float v) {
-  uint32_t bits;
-  std::memcpy(&bits, &v, sizeof(bits));
-  return bits;
-}
-
-float FloatFromBits(uint32_t bits) {
-  float v;
-  std::memcpy(&v, &bits, sizeof(v));
-  return v;
-}
-
-// record 0: the embedded sketch encoding (EncodeKllSketchInto)
-std::string EncodeKllSketchImage(const KllSketch& sketch) {
-  SnapshotWriter snap(PayloadKind::kKllSketch);
-  BinaryWriter w;
-  EncodeKllSketchInto(sketch, &w);
-  snap.AddRecord(w.bytes());
-  return snap.Finish();
-}
-
-Result<KllSketch> DecodeKllSketchImage(std::string bytes,
-                                       SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenSnapshot(std::move(bytes), PayloadKind::kKllSketch, 1, defect));
-  if (reader.num_records() != 1) {
-    return Status::InvalidArgument(
-        StrCat("kll-sketch snapshot holds ", reader.num_records(),
-               " records, layout has exactly 1"));
-  }
-  RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-  BinaryReader r(rec);
-  RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
-  RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "kll-sketch"));
-  return sketch;
-}
-
-// --- ShapeServiceState ---------------------------------------------------
-//
-// record 0: number of group states
-// record 1..n: group id, observation count, clamp count, ll sums, and the
-//              group's quantile sketch (embedded KllSketch encoding)
-//
-// Records follow ExportState's order — ascending group id, after the
-// deterministic per-shard merge — so the encoded image is byte-identical
-// at any shard count and a snapshot written by an S-shard service
-// restores into any other shard count (the shard-determinism suite pins
-// this). Pre-sketch images fail to decode (their records end before the
-// sketch fields), rather than half-loading without sketches.
-
-std::string EncodeShapeServiceImage(const core::ShapeService& service) {
-  const std::vector<core::ShapeService::GroupState> states =
-      service.ExportState();
-  SnapshotWriter snap(PayloadKind::kShapeServiceState);
-  {
-    BinaryWriter w;
-    w.PutU64(states.size());
-    snap.AddRecord(w.bytes());
-  }
-  for (const core::ShapeService::GroupState& state : states) {
-    BinaryWriter w;
-    w.PutI32(state.group_id);
-    w.PutI64(state.count);
-    w.PutI64(state.num_clamped);
-    w.PutDoubleVector(state.log_likelihood);
-    RVAR_CHECK(state.sketch.has_value());  // ExportState always fills it
-    EncodeKllSketchInto(*state.sketch, &w);
-    snap.AddRecord(w.bytes());
-  }
-  return snap.Finish();
-}
-
-Result<std::vector<core::ShapeService::GroupState>> DecodeShapeServiceImage(
-    std::string bytes, SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      SnapshotReader reader,
-      OpenSnapshot(std::move(bytes), PayloadKind::kShapeServiceState, 1,
-                   defect));
-  uint64_t num_groups = 0;
-  {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
-    BinaryReader r(rec);
-    RVAR_ASSIGN_OR_RETURN(num_groups, r.ReadU64());
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "shape-service header"));
-  }
-  if (reader.num_records() != num_groups + 1) {
-    return Status::InvalidArgument(
-        StrCat("snapshot promises ", num_groups, " group states but holds ",
-               reader.num_records(), " records"));
-  }
-  std::vector<core::ShapeService::GroupState> states;
-  states.reserve(static_cast<size_t>(num_groups));
-  for (uint64_t i = 0; i < num_groups; ++i) {
-    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
-                          reader.Record(static_cast<size_t>(i) + 1));
-    BinaryReader r(rec);
-    core::ShapeService::GroupState state;
-    RVAR_ASSIGN_OR_RETURN(state.group_id, r.ReadI32());
-    RVAR_ASSIGN_OR_RETURN(state.count, r.ReadI64());
-    RVAR_ASSIGN_OR_RETURN(state.num_clamped, r.ReadI64());
-    RVAR_ASSIGN_OR_RETURN(state.log_likelihood, r.ReadDoubleVector());
-    {
-      RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
-      state.sketch.emplace(std::move(sketch));
-    }
-    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "group state"));
-    if (state.sketch->n() != state.count) {
-      return Status::InvalidArgument(
-          StrCat("group state ", i, " sketch holds ", state.sketch->n(),
-                 " observations but tracker count is ", state.count));
-    }
-    if (state.group_id < 0) {
-      return Status::InvalidArgument(
-          StrCat("group state ", i, " holds negative group id ",
-                 state.group_id));
-    }
-    if (i > 0 && state.group_id <= states.back().group_id) {
-      return Status::InvalidArgument(
-          "group states must be strictly ascending by group id");
-    }
-    states.push_back(std::move(state));
-  }
-  return states;
-}
-
-}  // namespace
-
-// --- Public wrappers -----------------------------------------------------
-
-std::string EncodeShapeLibrary(const core::ShapeLibrary& library) {
-  return EncodeShapeLibraryImage(library);
-}
-Status SaveShapeLibrary(const core::ShapeLibrary& library,
-                        const std::string& path) {
-  return AtomicWriteFile(path, EncodeShapeLibrary(library));
-}
-Result<core::ShapeLibrary> DecodeShapeLibrary(std::string bytes,
-                                              SnapshotDefect* defect) {
-  return DecodeShapeLibraryImage(std::move(bytes), defect);
-}
-Result<core::ShapeLibrary> LoadShapeLibrary(const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeShapeLibrary(std::move(bytes));
-}
-
-std::string EncodeGbdtClassifier(const ml::GbdtClassifier& model) {
-  return EncodeGbdtImage(model);
-}
-Status SaveGbdtClassifier(const ml::GbdtClassifier& model,
-                          const std::string& path) {
-  return AtomicWriteFile(path, EncodeGbdtClassifier(model));
-}
-Result<ml::GbdtClassifier> DecodeGbdtClassifier(std::string bytes,
-                                                SnapshotDefect* defect) {
-  return DecodeGbdtImage(std::move(bytes), defect);
-}
-Result<ml::GbdtClassifier> LoadGbdtClassifier(const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeGbdtClassifier(std::move(bytes));
-}
-
-std::string EncodeRandomForestClassifier(
-    const ml::RandomForestClassifier& model) {
-  return EncodeForestImage(model.config(), model.num_classes(),
-                           model.trees(), model.feature_importance(),
-                           PayloadKind::kRandomForestClassifier);
-}
-Status SaveRandomForestClassifier(const ml::RandomForestClassifier& model,
-                                  const std::string& path) {
-  return AtomicWriteFile(path, EncodeRandomForestClassifier(model));
-}
-Result<ml::RandomForestClassifier> DecodeRandomForestClassifier(
-    std::string bytes, SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      ForestParts parts,
-      DecodeForestImage(std::move(bytes), /*classifier=*/true, defect));
-  return ml::RandomForestClassifier::Restore(
-      parts.config, parts.num_classes, std::move(parts.trees),
-      std::move(parts.importance));
-}
-Result<ml::RandomForestClassifier> LoadRandomForestClassifier(
-    const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeRandomForestClassifier(std::move(bytes));
-}
-
-std::string EncodeRandomForestRegressor(
-    const ml::RandomForestRegressor& model) {
-  return EncodeForestImage(model.config(), /*num_classes=*/-1,
-                           model.trees(), model.feature_importance(),
-                           PayloadKind::kRandomForestRegressor);
-}
-Status SaveRandomForestRegressor(const ml::RandomForestRegressor& model,
-                                 const std::string& path) {
-  return AtomicWriteFile(path, EncodeRandomForestRegressor(model));
-}
-Result<ml::RandomForestRegressor> DecodeRandomForestRegressor(
-    std::string bytes, SnapshotDefect* defect) {
-  RVAR_ASSIGN_OR_RETURN(
-      ForestParts parts,
-      DecodeForestImage(std::move(bytes), /*classifier=*/false, defect));
-  return ml::RandomForestRegressor::Restore(parts.config,
-                                            std::move(parts.trees),
-                                            std::move(parts.importance));
-}
-Result<ml::RandomForestRegressor> LoadRandomForestRegressor(
-    const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeRandomForestRegressor(std::move(bytes));
-}
-
-std::string EncodeFeaturizerState(const core::Featurizer& featurizer) {
-  return EncodeFeaturizerImage(featurizer);
-}
-Status SaveFeaturizerState(const core::Featurizer& featurizer,
-                           const std::string& path) {
-  return AtomicWriteFile(path, EncodeFeaturizerState(featurizer));
-}
-Status DecodeFeaturizerState(std::string bytes, core::Featurizer* featurizer,
-                             SnapshotDefect* defect) {
-  return DecodeFeaturizerImage(std::move(bytes), featurizer, defect);
-}
-Status LoadFeaturizerState(const std::string& path,
-                           core::Featurizer* featurizer) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeFeaturizerState(std::move(bytes), featurizer);
-}
-
-std::string EncodeTelemetryStore(const sim::TelemetryStore& store) {
-  return EncodeTelemetryImage(store);
-}
-Status SaveTelemetryStore(const sim::TelemetryStore& store,
-                          const std::string& path) {
-  return AtomicWriteFile(path, EncodeTelemetryStore(store));
-}
-Result<sim::TelemetryStore> DecodeTelemetryStore(std::string bytes,
-                                                 SnapshotDefect* defect) {
-  return DecodeTelemetryImage(std::move(bytes), defect);
-}
-Result<sim::TelemetryStore> LoadTelemetryStore(const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeTelemetryStore(std::move(bytes));
-}
-
-std::string EncodeShapeServiceState(const core::ShapeService& service) {
-  return EncodeShapeServiceImage(service);
-}
-Status SaveShapeServiceState(const core::ShapeService& service,
-                             const std::string& path) {
-  return AtomicWriteFile(path, EncodeShapeServiceState(service));
-}
-Result<std::vector<core::ShapeService::GroupState>> DecodeShapeServiceState(
-    std::string bytes, SnapshotDefect* defect) {
-  return DecodeShapeServiceImage(std::move(bytes), defect);
-}
-Result<std::vector<core::ShapeService::GroupState>> LoadShapeServiceState(
-    const std::string& path) {
-  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeShapeServiceState(std::move(bytes));
-}
+// --- KllSketch wire format -----------------------------------------------
 
 void EncodeKllSketchInto(const KllSketch& sketch, BinaryWriter* w) {
   w->PutU32(static_cast<uint32_t>(sketch.k()));
@@ -989,18 +744,186 @@ Result<KllSketch> DecodeKllSketchFrom(BinaryReader* r) {
                             std::move(items), parity);
 }
 
+// --- KllSketch standalone container --------------------------------------
+//
+// record 0: the embedded sketch encoding (EncodeKllSketchInto)
+
 std::string EncodeKllSketch(const KllSketch& sketch) {
-  return EncodeKllSketchImage(sketch);
+  SnapshotWriter snap(PayloadKind::kKllSketch);
+  BinaryWriter w;
+  EncodeKllSketchInto(sketch, &w);
+  snap.AddRecord(w.bytes());
+  return snap.Finish();
 }
-Status SaveKllSketch(const KllSketch& sketch, const std::string& path) {
-  return AtomicWriteFile(path, EncodeKllSketch(sketch));
-}
+
 Result<KllSketch> DecodeKllSketch(std::string bytes, SnapshotDefect* defect) {
-  return DecodeKllSketchImage(std::move(bytes), defect);
+  RVAR_ASSIGN_OR_RETURN(
+      SnapshotReader reader,
+      OpenSnapshot(std::move(bytes), PayloadKind::kKllSketch, 1, defect));
+  if (reader.num_records() != 1) {
+    return Status::InvalidArgument(
+        StrCat("kll-sketch snapshot holds ", reader.num_records(),
+               " records, layout has exactly 1"));
+  }
+  RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
+  BinaryReader r(rec);
+  RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
+  RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "kll-sketch"));
+  return sketch;
 }
-Result<KllSketch> LoadKllSketch(const std::string& path) {
+
+// --- ShapeServiceState ---------------------------------------------------
+//
+// record 0: number of group states
+// record 1..n: group id, observation count, clamp count, ll sums, and the
+//              group's quantile sketch (embedded KllSketch encoding)
+//
+// Records follow ExportState's order — ascending group id, after the
+// deterministic per-shard merge — so the encoded image is byte-identical
+// at any shard count and a snapshot written by an S-shard service
+// restores into any other shard count (the shard-determinism suite pins
+// this). Pre-sketch images fail to decode (their records end before the
+// sketch fields), rather than half-loading without sketches.
+
+std::string EncodeShapeServiceState(const core::ShapeService& service) {
+  const std::vector<core::ShapeService::GroupState> states =
+      service.ExportState();
+  SnapshotWriter snap(PayloadKind::kShapeServiceState);
+  {
+    BinaryWriter w;
+    w.PutU64(states.size());
+    snap.AddRecord(w.bytes());
+  }
+  for (const core::ShapeService::GroupState& state : states) {
+    BinaryWriter w;
+    w.PutI32(state.group_id);
+    w.PutI64(state.count);
+    w.PutI64(state.num_clamped);
+    w.PutDoubleVector(state.log_likelihood);
+    RVAR_CHECK(state.sketch.has_value());  // ExportState always fills it
+    EncodeKllSketchInto(*state.sketch, &w);
+    snap.AddRecord(w.bytes());
+  }
+  return snap.Finish();
+}
+
+Result<std::vector<core::ShapeService::GroupState>> DecodeShapeServiceState(
+    std::string bytes, SnapshotDefect* defect) {
+  RVAR_ASSIGN_OR_RETURN(
+      SnapshotReader reader,
+      OpenSnapshot(std::move(bytes), PayloadKind::kShapeServiceState, 1,
+                   defect));
+  uint64_t num_groups = 0;
+  {
+    RVAR_ASSIGN_OR_RETURN(std::string_view rec, reader.Record(0));
+    BinaryReader r(rec);
+    RVAR_ASSIGN_OR_RETURN(num_groups, r.ReadU64());
+    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "shape-service header"));
+  }
+  if (reader.num_records() != num_groups + 1) {
+    return Status::InvalidArgument(
+        StrCat("snapshot promises ", num_groups, " group states but holds ",
+               reader.num_records(), " records"));
+  }
+  std::vector<core::ShapeService::GroupState> states;
+  states.reserve(static_cast<size_t>(num_groups));
+  for (uint64_t i = 0; i < num_groups; ++i) {
+    RVAR_ASSIGN_OR_RETURN(std::string_view rec,
+                          reader.Record(static_cast<size_t>(i) + 1));
+    BinaryReader r(rec);
+    core::ShapeService::GroupState state;
+    RVAR_ASSIGN_OR_RETURN(state.group_id, r.ReadI32());
+    RVAR_ASSIGN_OR_RETURN(state.count, r.ReadI64());
+    RVAR_ASSIGN_OR_RETURN(state.num_clamped, r.ReadI64());
+    RVAR_ASSIGN_OR_RETURN(state.log_likelihood, r.ReadDoubleVector());
+    {
+      RVAR_ASSIGN_OR_RETURN(KllSketch sketch, DecodeKllSketchFrom(&r));
+      state.sketch.emplace(std::move(sketch));
+    }
+    RVAR_RETURN_NOT_OK(ExpectRecordEnd(r, "group state"));
+    if (state.sketch->n() != state.count) {
+      return Status::InvalidArgument(
+          StrCat("group state ", i, " sketch holds ", state.sketch->n(),
+                 " observations but tracker count is ", state.count));
+    }
+    if (state.group_id < 0) {
+      return Status::InvalidArgument(
+          StrCat("group state ", i, " holds negative group id ",
+                 state.group_id));
+    }
+    if (i > 0 && state.group_id <= states.back().group_id) {
+      return Status::InvalidArgument(
+          "group states must be strictly ascending by group id");
+    }
+    states.push_back(std::move(state));
+  }
+  return states;
+}
+
+// --- Random forests ------------------------------------------------------
+//
+// record 0: config, (num_classes for the classifier), num_trees,
+//           importance
+// record 1..: one tree per record
+
+std::string EncodeRandomForestClassifier(
+    const ml::RandomForestClassifier& model) {
+  return EncodeForestImage(model.config(), model.num_classes(),
+                           model.trees(), model.feature_importance(),
+                           PayloadKind::kRandomForestClassifier);
+}
+
+Result<ml::RandomForestClassifier> DecodeRandomForestClassifier(
+    std::string bytes, SnapshotDefect* defect) {
+  RVAR_ASSIGN_OR_RETURN(
+      ForestParts parts,
+      DecodeForestImage(std::move(bytes), /*classifier=*/true, defect));
+  return ml::RandomForestClassifier::Restore(
+      parts.config, parts.num_classes, std::move(parts.trees),
+      std::move(parts.importance));
+}
+
+std::string EncodeRandomForestRegressor(
+    const ml::RandomForestRegressor& model) {
+  return EncodeForestImage(model.config(), /*num_classes=*/-1,
+                           model.trees(), model.feature_importance(),
+                           PayloadKind::kRandomForestRegressor);
+}
+
+Result<ml::RandomForestRegressor> DecodeRandomForestRegressor(
+    std::string bytes, SnapshotDefect* defect) {
+  RVAR_ASSIGN_OR_RETURN(
+      ForestParts parts,
+      DecodeForestImage(std::move(bytes), /*classifier=*/false, defect));
+  return ml::RandomForestRegressor::Restore(parts.config,
+                                            std::move(parts.trees),
+                                            std::move(parts.importance));
+}
+
+// --- File helpers --------------------------------------------------------
+
+Status SaveShapeLibrary(const core::ShapeLibrary& library,
+                        const std::string& path) {
+  return AtomicWriteFile(path, EncodeShapeLibrary(library));
+}
+Result<core::ShapeLibrary> LoadShapeLibrary(const std::string& path) {
   RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return DecodeKllSketch(std::move(bytes));
+  return DecodeShapeLibrary(std::move(bytes));
+}
+
+Status SaveGbdtClassifier(const ml::GbdtClassifier& model,
+                          const std::string& path) {
+  return AtomicWriteFile(path, EncodeGbdtClassifier(model));
+}
+
+Status SaveShapeServiceState(const core::ShapeService& service,
+                             const std::string& path) {
+  return AtomicWriteFile(path, EncodeShapeServiceState(service));
+}
+Result<std::vector<core::ShapeService::GroupState>> LoadShapeServiceState(
+    const std::string& path) {
+  RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
+  return DecodeShapeServiceState(std::move(bytes));
 }
 
 }  // namespace io

@@ -1,12 +1,13 @@
 // Copyright 2026 The rvar Authors.
 //
-// Save/Load for the serving-state components: the shape library, the
-// fitted ml models, the featurizer's per-group history, and the telemetry
-// store. Each type gets its own snapshot PayloadKind and record layout
-// (DESIGN.md §7); every Load goes through SnapshotReader (checksums) and
-// the type's Restore factory (semantic invariants), so a load either
-// reproduces the saved object exactly or returns a descriptive Status —
-// it never crashes and never yields a half-valid object.
+// Snapshot codecs for the serving-state components: the shape library,
+// the fitted ml models, the featurizer's per-group history, the telemetry
+// store, the ShapeService's group state and the KLL sketch. Each type gets
+// its own snapshot PayloadKind and record layout (DESIGN.md §7); every
+// decode goes through SnapshotReader (checksums) and the type's Restore
+// factory (semantic invariants), so a decode either reproduces the encoded
+// object exactly or returns a descriptive Status — it never crashes and
+// never yields a half-valid object.
 
 #ifndef RVAR_IO_SERIALIZE_H_
 #define RVAR_IO_SERIALIZE_H_
@@ -30,10 +31,11 @@ namespace rvar {
 namespace io {
 
 // Each Encode* returns a complete snapshot file image (header + records);
-// Save* persists it atomically; Decode* validates the image and rebuilds
-// the object; Load* reads the file and decodes. Decode reports the
+// Decode* validates the image and rebuilds the object, reporting the
 // container-level defect through `defect` when non-null (kNone when the
-// container was intact but the payload failed semantic validation).
+// container was intact but the payload failed semantic validation). The
+// Save*/Load* file helpers exist only for the types something saves to a
+// file of its own: Save* writes atomically, Load* reads and decodes.
 
 std::string EncodeShapeLibrary(const core::ShapeLibrary& library);
 Status SaveShapeLibrary(const core::ShapeLibrary& library,
@@ -47,47 +49,31 @@ Status SaveGbdtClassifier(const ml::GbdtClassifier& model,
                           const std::string& path);
 Result<ml::GbdtClassifier> DecodeGbdtClassifier(
     std::string bytes, SnapshotDefect* defect = nullptr);
-Result<ml::GbdtClassifier> LoadGbdtClassifier(const std::string& path);
 
 std::string EncodeRandomForestClassifier(
     const ml::RandomForestClassifier& model);
-Status SaveRandomForestClassifier(const ml::RandomForestClassifier& model,
-                                  const std::string& path);
 Result<ml::RandomForestClassifier> DecodeRandomForestClassifier(
     std::string bytes, SnapshotDefect* defect = nullptr);
-Result<ml::RandomForestClassifier> LoadRandomForestClassifier(
-    const std::string& path);
 
 std::string EncodeRandomForestRegressor(
     const ml::RandomForestRegressor& model);
-Status SaveRandomForestRegressor(const ml::RandomForestRegressor& model,
-                                 const std::string& path);
 Result<ml::RandomForestRegressor> DecodeRandomForestRegressor(
     std::string bytes, SnapshotDefect* defect = nullptr);
-Result<ml::RandomForestRegressor> LoadRandomForestRegressor(
-    const std::string& path);
 
 /// The featurizer's learned per-group history (its only mutable state;
 /// the feature schema itself is rebuilt from the group/catalog specs).
 std::string EncodeFeaturizerState(const core::Featurizer& featurizer);
-Status SaveFeaturizerState(const core::Featurizer& featurizer,
-                           const std::string& path);
 /// Decodes into an already-constructed featurizer via RestoreHistory.
 Status DecodeFeaturizerState(std::string bytes, core::Featurizer* featurizer,
                              SnapshotDefect* defect = nullptr);
-Status LoadFeaturizerState(const std::string& path,
-                           core::Featurizer* featurizer);
 
 /// Runs round-trip through Ingest on decode, so a snapshot whose records
 /// pass the checksums but hold semantically corrupt runs fails the load
 /// instead of silently indexing bad data. The audit trail (quarantined
 /// runs + per-reason counts) round-trips too.
 std::string EncodeTelemetryStore(const sim::TelemetryStore& store);
-Status SaveTelemetryStore(const sim::TelemetryStore& store,
-                          const std::string& path);
 Result<sim::TelemetryStore> DecodeTelemetryStore(
     std::string bytes, SnapshotDefect* defect = nullptr);
-Result<sim::TelemetryStore> LoadTelemetryStore(const std::string& path);
 
 /// The ShapeService's per-group state (discounted log-likelihood sums,
 /// observation/clamp counters, and the group's KLL quantile sketch), so
@@ -120,10 +106,8 @@ Result<KllSketch> DecodeKllSketchFrom(BinaryReader* r);
 /// sketch — the unit the codec-robustness suite attacks with bit flips
 /// and truncation.
 std::string EncodeKllSketch(const KllSketch& sketch);
-Status SaveKllSketch(const KllSketch& sketch, const std::string& path);
 Result<KllSketch> DecodeKllSketch(std::string bytes,
                                   SnapshotDefect* defect = nullptr);
-Result<KllSketch> LoadKllSketch(const std::string& path);
 
 }  // namespace io
 }  // namespace rvar

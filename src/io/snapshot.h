@@ -37,11 +37,15 @@ enum class PayloadKind : uint32_t {
   kRandomForestRegressor = 4,
   kFeaturizerState = 5,
   kTelemetryStore = 6,
+  /// Reserved: the retired RecoveryManager layout (per-group tracker
+  /// records). Never reused, so an old image is refused, not misparsed.
   kServingState = 7,
   kModelManifest = 8,
   kActivePointer = 9,
   kShapeServiceState = 10,
   kKllSketch = 11,
+  /// RecoveryManager checkpoint: header, shape library, ShapeService state.
+  kDurableState = 12,
 };
 
 /// \brief The first defect a snapshot validator encountered; kNone for an

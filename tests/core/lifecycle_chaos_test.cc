@@ -18,6 +18,7 @@
 #include "io/serialize.h"
 #include "ml/dataset.h"
 #include "sim/faults.h"
+#include "test_util.h"
 
 namespace rvar {
 namespace core {
@@ -42,17 +43,6 @@ ml::Dataset Window(int phase, int n_per_class, uint64_t seed) {
 
 class LifecycleChaosTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("rvar_lifecycle_chaos_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
-
   ModelLifecycleOptions Options() const {
     ModelLifecycleOptions options;
     options.dir = dir_;
@@ -62,7 +52,8 @@ class LifecycleChaosTest : public ::testing::Test {
     return options;
   }
 
-  std::string dir_;
+  const ScopedTempDir temp_;
+  const std::string dir_ = temp_.path();
 };
 
 // Crash between TrainCandidate and ValidateAndSwap: the process dies with

@@ -1,4 +1,5 @@
 #include "core/scalar_metrics.h"
+#include "test_util.h"
 
 #include <gtest/gtest.h>
 
@@ -144,8 +145,9 @@ TEST(TelemetryCsvTest, ExportsHeaderAndRows) {
   // Exactly header + 1 data row.
   EXPECT_EQ(std::count(csv.begin(), csv.end(), '\n'), 2);
   // File round trip.
-  const std::string path = testing::TempDir() + "/rvar_telemetry.csv";
-  EXPECT_TRUE(store.ExportCsv(path, {"GenA", "GenB"}).ok());
+  const ScopedTempDir temp;
+  EXPECT_TRUE(store.ExportCsv(temp.Path("telemetry.csv"), {"GenA", "GenB"})
+                  .ok());
 }
 
 }  // namespace

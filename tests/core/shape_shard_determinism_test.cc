@@ -1,11 +1,12 @@
 // Shard-count byte-identity suite for the share-nothing ShapeService
 // (DESIGN.md §13): the same observation streams fed to services running
 // 1, 4, and 16 shards — from concurrent writers — must export the exact
-// same bytes through the io kShapeServiceState codec and answer every
-// query identically. Also the kill-and-restore chaos case over that
-// codec: a snapshot saved by one shard count reloads into any other,
-// reproduces every answer, and a corrupted snapshot is refused whole,
-// leaving the target service untouched. Runs under both the TSan
+// same bytes through the io kShapeServiceState codec (as must the durable
+// io::RecoveryManager, which nests that image in its checkpoints) and
+// answer every query identically. Also the kill-and-restore chaos case
+// over that codec: a snapshot saved by one shard count reloads into any
+// other, reproduces every answer, and a corrupted snapshot is refused
+// whole, leaving the target service untouched. Runs under both the TSan
 // (`-L concurrency`) and ASan (`-L chaos`) presets.
 
 #include <gtest/gtest.h>
@@ -19,8 +20,11 @@
 #include "common/rng.h"
 #include "core/shape_library.h"
 #include "core/shape_service.h"
+#include "io/recovery.h"
 #include "io/serialize.h"
+#include "io/snapshot.h"
 #include "sim/faults.h"
+#include "test_util.h"
 
 namespace rvar {
 namespace core {
@@ -120,6 +124,32 @@ TEST_F(ShapeShardDeterminismTest, ExportBytesIdenticalAcrossShardCounts) {
   EXPECT_EQ(image_four, image_one) << "4-shard image diverged";
   EXPECT_EQ(image_sixteen, image_one) << "16-shard image diverged";
 
+  // The durable path is one more entry in the shard list: a
+  // RecoveryManager fed the same per-group streams nests the same bytes
+  // as record 2 of its checkpoint image.
+  const ScopedTempDir temp;
+  io::RecoveryManager::Options options;
+  options.decay = 0.95;
+  auto durable = io::RecoveryManager::Open(temp.Path("durable"), options);
+  ASSERT_TRUE(durable.ok()) << durable.status().ToString();
+  ASSERT_TRUE(durable->Bootstrap(*library_).ok());
+  for (int gid = 0; gid < kGroups; ++gid) {
+    for (double x : StreamFor(gid, kObs)) {
+      ASSERT_TRUE(durable->Observe(gid, x).ok());
+    }
+  }
+  ASSERT_TRUE(durable->Checkpoint().ok());
+  auto bytes =
+      io::ReadFileToString(durable->SnapshotPath(durable->generation()));
+  ASSERT_TRUE(bytes.ok());
+  auto reader = io::SnapshotReader::Open(*std::move(bytes),
+                                         io::PayloadKind::kDurableState);
+  ASSERT_TRUE(reader.ok()) << reader.status().ToString();
+  auto nested = reader->Record(2);
+  ASSERT_TRUE(nested.ok());
+  EXPECT_EQ(std::string(*nested), image_one) << "durable image diverged";
+  EXPECT_EQ(std::string(*nested), image_sixteen);
+
   // Every query surface answers identically at every shard count.
   EXPECT_EQ(four->TotalObservations(), one->TotalObservations());
   EXPECT_EQ(sixteen->TotalObservations(), one->TotalObservations());
@@ -145,10 +175,8 @@ TEST_F(ShapeShardDeterminismTest, KillAndRestoreAcrossShardCounts) {
   constexpr int kObs = 20;
   auto origin = BuildService(16, kGroups, kObs, /*threads=*/4);
 
-  const std::filesystem::path dir =
-      std::filesystem::temp_directory_path() / "rvar_shard_restore_test";
-  std::filesystem::create_directories(dir);
-  const std::string path = (dir / "shape_service.snap").string();
+  const ScopedTempDir temp;
+  const std::string path = temp.Path("shape_service.snap");
   ASSERT_TRUE(io::SaveShapeServiceState(*origin, path).ok());
 
   const std::string image = io::EncodeShapeServiceState(*origin);
@@ -193,9 +221,6 @@ TEST_F(ShapeShardDeterminismTest, KillAndRestoreAcrossShardCounts) {
   EXPECT_GT(refused, 0);
   EXPECT_EQ((*target)->NumGroups(), 1u);
   EXPECT_EQ((*target)->GroupCount(3), 1);
-
-  std::error_code ec;
-  std::filesystem::remove_all(dir, ec);
 }
 
 // Sketch-focused determinism (ISSUE 10): with enough observations per

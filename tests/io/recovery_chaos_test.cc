@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <string>
 #include <utility>
 #include <vector>
@@ -24,6 +25,7 @@
 #include "io/wal.h"
 #include "sim/faults.h"
 #include "sim/telemetry.h"
+#include "test_util.h"
 
 namespace rvar {
 namespace io {
@@ -116,14 +118,8 @@ void ExpectStatesBitIdentical(const ServingState& reference,
 
 class RecoveryChaosTest : public ::testing::Test {
  protected:
-  void SetUp() override {
-    root_ = (std::filesystem::temp_directory_path() / "rvar_chaos_test")
-                .string();
-    std::filesystem::remove_all(root_);
-  }
-  void TearDown() override { std::filesystem::remove_all(root_); }
-
-  std::string root_;
+  const ScopedTempDir temp_;
+  const std::string root_ = temp_.path();
 };
 
 TEST_F(RecoveryChaosTest, KillAndRestartMatchesNeverCrashedRun) {
@@ -300,6 +296,138 @@ TEST_F(RecoveryChaosTest, PruningKeepsOnlyConfiguredGenerations) {
   ASSERT_TRUE(reopened.ok());
   ASSERT_TRUE(reopened->Recover().ok());
   ExpectStatesBitIdentical(manager->state(), reopened->state());
+}
+
+// Snapshot and WAL file names in `dir`, sorted.
+std::vector<std::string> StateFiles(const std::string& dir) {
+  std::vector<std::string> names;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    names.push_back(entry.path().filename().string());
+  }
+  std::sort(names.begin(), names.end());
+  return names;
+}
+
+// Observe applies ShapeService's input policy before logging: what the
+// service refuses never reaches the WAL, and a hand-framed WAL record that
+// carries it is counted as a bad payload on replay, not applied.
+TEST_F(RecoveryChaosTest, ObserveAndReplayApplyTheServiceInputPolicy) {
+  const std::string dir = root_ + "/policy";
+  const std::string wal_path = dir + "/wal-000001";
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const double inf = std::numeric_limits<double>::infinity();
+  uint64_t wal_bytes = 0;
+  {
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->Bootstrap(MakeLibrary(5)).ok());
+    ASSERT_TRUE(manager->Observe(2, 1.5).ok());
+    wal_bytes = std::filesystem::file_size(wal_path);
+    for (const Observation& bad : std::vector<Observation>{
+             {2, nan}, {2, inf}, {2, -inf}, {-1, 1.0}}) {
+      const Status status = manager->Observe(bad.group_id, bad.value);
+      EXPECT_TRUE(status.IsInvalidArgument()) << status.ToString();
+    }
+    EXPECT_EQ(std::filesystem::file_size(wal_path), wal_bytes);
+    EXPECT_EQ(manager->last_sequence(), 1u);
+    const ServingState state = manager->state();
+    ASSERT_EQ(state.trackers.size(), 1u);
+    EXPECT_EQ(state.trackers.at(2).count(), 1);
+  }
+  {
+    auto writer = WalWriter::OpenForAppend(wal_path, 1, wal_bytes, true);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    ASSERT_TRUE(writer->Append(FrameObservation(2, {2, nan})).ok());
+    ASSERT_TRUE(writer->Append(FrameObservation(3, {-3, 1.0})).ok());
+    ASSERT_TRUE(writer->Append(FrameObservation(4, {4, 2.0})).ok());
+  }
+  auto revived = RecoveryManager::Open(dir);
+  ASSERT_TRUE(revived.ok());
+  auto report = revived->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->Count(RecoveryReason::kWalBadPayload), 2);
+  EXPECT_EQ(report->wal_records_applied, 2);
+  EXPECT_EQ(revived->last_sequence(), 4u);
+  const ServingState state = revived->state();
+  ASSERT_EQ(state.trackers.size(), 2u);
+  EXPECT_EQ(state.trackers.at(2).count(), 1);
+  EXPECT_EQ(state.trackers.at(4).count(), 1);
+  EXPECT_EQ(state.sketches.at(2).n(), 1);
+}
+
+// A directory written by the retired per-tracker layout (kServingState)
+// is refused whole, and its only generation stays on disk untouched.
+TEST_F(RecoveryChaosTest, OldServingStateLayoutIsRefusedAndKept) {
+  const std::string dir = root_ + "/old_layout";
+  std::filesystem::create_directories(dir);
+  SnapshotWriter snap(PayloadKind::kServingState);
+  {
+    BinaryWriter w;
+    w.PutU64(0);        // watermark
+    w.PutU64(1);        // next WAL segment
+    w.PutDouble(1.0);   // decay
+    w.PutDouble(1e-6);  // pmf_floor
+    w.PutU64(0);        // tracker count
+    snap.AddRecord(w.bytes());
+  }
+  snap.AddRecord(EncodeShapeLibrary(MakeLibrary(3)));
+  const std::string path = dir + "/snapshot-000001";
+  const std::string image = snap.Finish();
+  ASSERT_TRUE(AtomicWriteFile(path, image).ok());
+
+  auto manager = RecoveryManager::Open(dir);
+  ASSERT_TRUE(manager.ok());
+  ASSERT_TRUE(manager->HasState());
+  auto report = manager->Recover();
+  EXPECT_FALSE(report.ok());
+  EXPECT_EQ(report.status().code(), StatusCode::kIOError)
+      << report.status().ToString();
+  auto bytes = ReadFileToString(path);
+  ASSERT_TRUE(bytes.ok()) << "the old generation was deleted";
+  EXPECT_EQ(*bytes, image);
+  EXPECT_FALSE(manager->Observe(0, 1.0).ok());  // nothing went live
+}
+
+// A snapshot written under other decay / pmf_floor / sketch_k options
+// fails Recover with FailedPrecondition and deletes nothing — not even a
+// damaged newer generation; the matching options then recover it.
+TEST_F(RecoveryChaosTest, OptionMismatchIsFailedPreconditionAndDeletesNothing) {
+  const std::string dir = root_ + "/mismatch";
+  {
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->Bootstrap(MakeLibrary(4)).ok());
+    for (const Observation& obs : MakeStream(12, 8)) {
+      ASSERT_TRUE(manager->Observe(obs.group_id, obs.value).ok());
+    }
+    ASSERT_TRUE(manager->Checkpoint().ok());
+  }
+  // A torn generation 3 that a successful Recover would delete.
+  ASSERT_TRUE(AtomicWriteFile(dir + "/snapshot-000003", "RVSN torn").ok());
+  const std::vector<std::string> files = StateFiles(dir);
+
+  RecoveryManager::Options decay;
+  decay.decay = 0.9;
+  RecoveryManager::Options floor;
+  floor.pmf_floor = 1e-5;
+  RecoveryManager::Options sketch_k;
+  sketch_k.sketch_k = 100;
+  for (const RecoveryManager::Options& options : {decay, floor, sketch_k}) {
+    auto manager = RecoveryManager::Open(dir, options);
+    ASSERT_TRUE(manager.ok());
+    auto report = manager->Recover();
+    EXPECT_EQ(report.status().code(), StatusCode::kFailedPrecondition)
+        << report.status().ToString();
+    EXPECT_EQ(StateFiles(dir), files);
+  }
+
+  auto manager = RecoveryManager::Open(dir);
+  ASSERT_TRUE(manager.ok());
+  auto report = manager->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->snapshot_generation, 2);
+  EXPECT_EQ(report->num_snapshots_discarded, 1);
+  EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot-000003"));
 }
 
 }  // namespace

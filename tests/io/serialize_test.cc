@@ -13,6 +13,7 @@
 #include "ml/dataset.h"
 #include "sim/datasets.h"
 #include "sim/faults.h"
+#include "test_util.h"
 
 namespace rvar {
 namespace io {
@@ -119,15 +120,13 @@ TEST(SerializeShapeLibraryTest, RoundTripsBitIdentically) {
 }
 
 TEST(SerializeShapeLibraryTest, SaveLoadFile) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rvar_lib_snapshot")
-          .string();
+  const ScopedTempDir temp;
+  const std::string path = temp.Path("library.snap");
   core::ShapeLibrary library = MakeLibrary();
   ASSERT_TRUE(SaveShapeLibrary(library, path).ok());
   auto restored = LoadShapeLibrary(path);
   ASSERT_TRUE(restored.ok()) << restored.status().ToString();
   ExpectLibrariesIdentical(library, *restored);
-  std::filesystem::remove(path);
 }
 
 TEST(SerializeShapeLibraryTest, RejectsWrongPayloadKind) {
@@ -314,16 +313,14 @@ TEST(SerializeShapeServiceTest, SaveLoadFileAndDefects) {
   auto service = core::ShapeService::Make(&library);
   ASSERT_TRUE(service.ok());
   ASSERT_TRUE((*service)->Observe(2, 1.1).ok());
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rvar_shape_service_state")
-          .string();
+  const ScopedTempDir temp;
+  const std::string path = temp.Path("shape_service.snap");
   ASSERT_TRUE(SaveShapeServiceState(**service, path).ok());
   auto states = LoadShapeServiceState(path);
   ASSERT_TRUE(states.ok()) << states.status().ToString();
   ASSERT_EQ(states->size(), 1u);
   EXPECT_EQ((*states)[0].group_id, 2);
   EXPECT_EQ((*states)[0].count, 1);
-  std::filesystem::remove(path);
 
   // Corruption anywhere in the image is caught by the snapshot CRCs.
   const std::string image = EncodeShapeServiceState(**service);

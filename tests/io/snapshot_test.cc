@@ -8,16 +8,11 @@
 
 #include "io/codec.h"
 #include "io/crc32.h"
+#include "test_util.h"
 
 namespace rvar {
 namespace io {
 namespace {
-
-std::string TempPath(const char* name) {
-  return (std::filesystem::temp_directory_path() /
-          (std::string("rvar_snapshot_test_") + name))
-      .string();
-}
 
 TEST(Crc32Test, MatchesKnownVector) {
   // The canonical CRC-32 (IEEE) check value.
@@ -29,6 +24,33 @@ TEST(Crc32Test, IncrementalMatchesOneShot) {
   const std::string text = "runtime variation in big data analytics";
   const uint32_t partial = Crc32(text.substr(0, 10));
   EXPECT_EQ(Crc32(text.substr(10), partial), Crc32(text));
+}
+
+// The sliced implementation against the textbook bit-at-a-time CRC, over
+// every length and alignment that exercises the 8-byte loop and its tail.
+TEST(Crc32Test, MatchesBitwiseReferenceAtEveryLengthAndOffset) {
+  const auto reference = [](std::string_view bytes) {
+    uint32_t c = 0xFFFFFFFFu;
+    for (unsigned char byte : bytes) {
+      c ^= byte;
+      for (int bit = 0; bit < 8; ++bit) {
+        c = (c & 1u) ? (0xEDB88320u ^ (c >> 1)) : (c >> 1);
+      }
+    }
+    return c ^ 0xFFFFFFFFu;
+  };
+  std::string buffer;
+  for (int i = 0; i < 96; ++i) {
+    buffer.push_back(static_cast<char>((i * 131 + 7) & 0xFF));
+  }
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; offset + len <= buffer.size(); ++len) {
+      const std::string_view bytes =
+          std::string_view(buffer).substr(offset, len);
+      EXPECT_EQ(Crc32(bytes), reference(bytes))
+          << "offset " << offset << " length " << len;
+    }
+  }
 }
 
 TEST(Crc32Test, MaskRoundTrips) {
@@ -181,24 +203,26 @@ TEST(SnapshotTest, DefectNamesAreDistinct) {
 }
 
 TEST(AtomicWriteTest, RoundTripsAndReplaces) {
-  const std::string path = TempPath("atomic");
+  const ScopedTempDir temp;
+  const std::string path = temp.Path("atomic");
   ASSERT_TRUE(AtomicWriteFile(path, "first contents").ok());
   EXPECT_EQ(*ReadFileToString(path), "first contents");
   ASSERT_TRUE(AtomicWriteFile(path, "second").ok());
   EXPECT_EQ(*ReadFileToString(path), "second");
   // No temp file left behind.
   EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
-  std::filesystem::remove(path);
 }
 
 TEST(AtomicWriteTest, MissingFileIsNotFound) {
-  auto missing = ReadFileToString(TempPath("never_written"));
+  const ScopedTempDir temp;
+  auto missing = ReadFileToString(temp.Path("never_written"));
   EXPECT_FALSE(missing.ok());
   EXPECT_TRUE(missing.status().IsNotFound()) << missing.status().ToString();
 }
 
 TEST(SnapshotTest, WriteFileRoundTrips) {
-  const std::string path = TempPath("container");
+  const ScopedTempDir temp;
+  const std::string path = temp.Path("container");
   SnapshotWriter writer(PayloadKind::kGbdtClassifier);
   writer.AddRecord("abc");
   ASSERT_TRUE(writer.WriteFile(path).ok());
@@ -207,7 +231,6 @@ TEST(SnapshotTest, WriteFileRoundTrips) {
   auto reader = SnapshotReader::Open(*bytes, PayloadKind::kGbdtClassifier);
   ASSERT_TRUE(reader.ok());
   EXPECT_EQ(*reader->Record(0), "abc");
-  std::filesystem::remove(path);
 }
 
 }  // namespace

@@ -24,6 +24,7 @@
 #include "ml/dataset.h"
 #include "serve/frontend.h"
 #include "sim/datasets.h"
+#include "test_util.h"
 
 namespace rvar {
 namespace serve {
@@ -61,16 +62,6 @@ class OverloadChaosTest : public ::testing::Test {
     suite_ = nullptr;
   }
 
-  void SetUp() override {
-    dir_ = (std::filesystem::temp_directory_path() /
-            ("rvar_serve_chaos_" +
-             std::string(::testing::UnitTest::GetInstance()
-                             ->current_test_info()
-                             ->name())))
-               .string();
-    std::filesystem::remove_all(dir_);
-  }
-  void TearDown() override { std::filesystem::remove_all(dir_); }
 
   // A lifecycle-compatible retrain window: the predictor's own kept
   // features with its predicted shapes as labels. Every class 0..K-1 is
@@ -105,7 +96,8 @@ class OverloadChaosTest : public ::testing::Test {
 
   static sim::StudySuite* suite_;
   static core::VariationPredictor* predictor_;
-  std::string dir_;
+  const ScopedTempDir temp_;
+  const std::string dir_ = temp_.path();
 };
 
 sim::StudySuite* OverloadChaosTest::suite_ = nullptr;

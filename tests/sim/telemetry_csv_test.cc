@@ -11,6 +11,7 @@
 
 #include "common/rng.h"
 #include "sim/telemetry.h"
+#include "test_util.h"
 
 namespace rvar {
 namespace sim {
@@ -80,9 +81,8 @@ TEST(TelemetryCsvTest, RoundTripsLosslessly) {
 }
 
 TEST(TelemetryCsvTest, FileExportImportRoundTrips) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "rvar_telemetry.csv")
-          .string();
+  const ScopedTempDir temp;
+  const std::string path = temp.Path("telemetry.csv");
   TelemetryStore store = MakeStore(10, 6);
   ASSERT_TRUE(store.ExportCsv(path, kSkus).ok());
   auto restored = TelemetryStore::ImportCsv(path, kSkus);
