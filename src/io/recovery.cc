@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <limits>
+#include <optional>
 #include <system_error>
 #include <utility>
 
 #include "common/check.h"
+#include "common/parallel.h"
 #include "common/strings.h"
 #include "io/codec.h"
 #include "io/serialize.h"
@@ -61,7 +64,8 @@ struct RecoveryMetrics {
 constexpr char kSnapshotPrefix[] = "snapshot-";
 constexpr char kWalPrefix[] = "wal-";
 
-/// Parses the numeric suffix of "prefix-NNNNNN" names; -1 if malformed.
+/// Parses the numeric suffix of "prefix-NNNNNN" names; -1 if malformed,
+/// including a suffix too large for int64_t.
 int64_t ParseSuffix(const std::string& name, const char* prefix) {
   const size_t prefix_len = std::string(prefix).size();
   if (name.size() <= prefix_len || name.compare(0, prefix_len, prefix) != 0) {
@@ -70,7 +74,9 @@ int64_t ParseSuffix(const std::string& name, const char* prefix) {
   int64_t value = 0;
   for (size_t i = prefix_len; i < name.size(); ++i) {
     if (name[i] < '0' || name[i] > '9') return -1;
-    value = value * 10 + (name[i] - '0');
+    const int digit = name[i] - '0';
+    if (value > (std::numeric_limits<int64_t>::max() - digit) / 10) return -1;
+    value = value * 10 + digit;
   }
   return value;
 }
@@ -298,6 +304,9 @@ Result<RecoveryReport> RecoveryManager::Recover() {
     return Status::NotFound(StrCat(dir_, " holds no snapshot generation"));
   }
   RecoveryReport report;
+  // One child span per phase; each emplace ends the previous phase.
+  std::optional<rvar::obs::ScopedSpan> phase;
+  phase.emplace("recovery/restore_snapshot");
 
   // Newest restorable generation wins. Generations skipped on the way are
   // counted; the damaged ones among them are deleted once a generation has
@@ -367,20 +376,30 @@ Result<RecoveryReport> RecoveryManager::Recover() {
   // next checkpoint never overwrites them.
   latest_generation_ = snapshot_generations_.back();
   first_segment_after_[loaded_gen] = image.next_wal_segment;
+  // Segments the image does not cover must keep ids at or above its first
+  // post-snapshot segment, or the next Recover would skip them.
+  next_segment_id_ = std::max(next_segment_id_, image.next_wal_segment);
   report.snapshot_generation = loaded_gen;
 
-  // Replay the WAL: scan every surviving segment in id order, heal torn
-  // or corrupt tails on disk, and buffer the records newer than the
-  // snapshot in arrival order; sorting them by sequence number below
-  // collapses duplicates and reorderings deterministically.
+  // Replay the WAL: scan, in id order, the segments the snapshot does not
+  // cover, heal torn or corrupt tails on disk, and buffer the records
+  // newer than the snapshot in arrival order; sorting them by sequence
+  // number below collapses duplicates and reorderings deterministically.
+  // Segment ids rise with every checkpoint and rotation, so a segment
+  // below the image's first post-snapshot segment holds only covered
+  // records: it is not read, and stays on disk as it is for a fallback to
+  // an older generation.
+  phase.emplace("recovery/scan_wal");
   struct Pending {
     WalObservation obs;
     bool late;  ///< arrived after a higher sequence number
   };
   std::vector<Pending> pending;
   uint64_t max_seq_seen = 0;
+  bool any_late = false;
   std::vector<uint64_t> dead_segments;
   for (uint64_t seg : wal_segments_) {
+    if (seg < image.next_wal_segment) continue;
     Result<WalScanResult> scan = ScanWalFile(WalPath(seg));
     ++report.num_wal_segments_scanned;
     if (!scan.ok()) {
@@ -404,7 +423,7 @@ Result<RecoveryReport> RecoveryManager::Recover() {
       report.wal_bytes_truncated +=
           static_cast<int64_t>(result.dropped_bytes);
     }
-    for (const std::string& record : result.records) {
+    for (std::string_view record : result.records) {
       Result<WalObservation> obs = DecodeObservation(record);
       if (!obs.ok()) {
         ++report.counts[static_cast<size_t>(
@@ -415,7 +434,9 @@ Result<RecoveryReport> RecoveryManager::Recover() {
         ++report.counts[static_cast<size_t>(RecoveryReason::kWalStale)];
         continue;
       }
-      pending.push_back({*obs, obs->seq < max_seq_seen});
+      const bool late = obs->seq < max_seq_seen;
+      any_late = any_late || late;
+      pending.push_back({*obs, late});
       max_seq_seen = std::max(max_seq_seen, obs->seq);
     }
   }
@@ -429,12 +450,22 @@ Result<RecoveryReport> RecoveryManager::Recover() {
   // new appends continue above it.
   last_seq_ = std::max(image.watermark, max_seq_seen);
   live_ = true;
+  phase.emplace("recovery/replay");
   // Sequence order; of the records sharing a number the first to arrive
-  // wins and the others are duplicates.
-  std::stable_sort(pending.begin(), pending.end(),
-                   [](const Pending& a, const Pending& b) {
-                     return a.obs.seq < b.obs.seq;
-                   });
+  // wins and the others are duplicates. With no late record the numbers
+  // never decrease, so the buffer is already in that order.
+  if (any_late) {
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const Pending& a, const Pending& b) {
+                       return a.obs.seq < b.obs.seq;
+                     });
+  }
+  // Bucket the survivors by owning shard, keeping sequence order inside
+  // each bucket, and apply the buckets in one parallel region: all of a
+  // group's observations land in one bucket, in order, and shards share
+  // nothing, so the state is the same at any thread count.
+  const size_t num_shards = static_cast<size_t>(service_->num_shards());
+  std::vector<std::vector<const WalObservation*>> buckets(num_shards);
   for (size_t i = 0; i < pending.size(); ++i) {
     const WalObservation& obs = pending[i].obs;
     if (i > 0 && obs.seq == pending[i - 1].obs.seq) {
@@ -444,11 +475,25 @@ Result<RecoveryReport> RecoveryManager::Recover() {
     if (pending[i].late) {
       ++report.counts[static_cast<size_t>(RecoveryReason::kWalReordered)];
     }
-    if (service_->Observe(obs.group_id, obs.value).ok()) {
-      ++report.wal_records_applied;
-    } else {
-      ++report.counts[static_cast<size_t>(RecoveryReason::kWalBadPayload)];
+    buckets[service_->ShardIndexFor(obs.group_id)].push_back(&obs);
+  }
+  std::vector<int64_t> applied(num_shards, 0);
+  std::vector<int64_t> rejected(num_shards, 0);
+  ParallelFor(num_shards, 1, [&](size_t begin, size_t end) {
+    for (size_t s = begin; s < end; ++s) {
+      for (const WalObservation* obs : buckets[s]) {
+        if (service_->Observe(obs->group_id, obs->value).ok()) {
+          ++applied[s];
+        } else {
+          ++rejected[s];
+        }
+      }
     }
+  });
+  for (size_t s = 0; s < num_shards; ++s) {
+    report.wal_records_applied += applied[s];
+    report.counts[static_cast<size_t>(RecoveryReason::kWalBadPayload)] +=
+        rejected[s];
   }
 
   const RecoveryMetrics& metrics = RecoveryMetrics::Get();
@@ -463,6 +508,7 @@ Result<RecoveryReport> RecoveryManager::Recover() {
 
   // Post-recovery appends go to a fresh segment; the replayed ones stay
   // until the next checkpoint prunes them.
+  phase.emplace("recovery/rotate_wal");
   RVAR_RETURN_NOT_OK(RotateWal());
   return report;
 }

@@ -44,7 +44,7 @@ enum class RecoveryReason : int {
   kWalBadPayload,        ///< framed record held a malformed observation
   kWalDuplicate,         ///< same sequence number delivered twice
   kWalReordered,         ///< record arrived out of sequence order
-  kWalStale,             ///< record already covered by the snapshot
+  kWalStale,             ///< covered record inside a scanned segment
 };
 inline constexpr int kNumRecoveryReasons = 8;
 const char* RecoveryReasonName(RecoveryReason reason);
@@ -55,6 +55,9 @@ struct RecoveryReport {
   int64_t snapshot_generation = -1;
   /// Snapshot generations that failed validation and were skipped.
   int num_snapshots_discarded = 0;
+  /// Segments read: those at or above the restored image's first
+  /// post-snapshot segment. Older segments hold only covered records and
+  /// are neither read nor counted (nor their records as kWalStale).
   int num_wal_segments_scanned = 0;
   /// Observations replayed on top of the snapshot.
   int64_t wal_records_applied = 0;
@@ -88,7 +91,8 @@ struct ServingState {
 /// library (first boot) or Recover() existing state; afterwards Observe()
 /// appends observations durably and Checkpoint() compacts the WAL into a
 /// new snapshot generation. Files are `snapshot-<generation>` and
-/// `wal-<segment id>`, both zero-padded to six digits.
+/// `wal-<segment id>`, both zero-padded to six digits; any other name,
+/// including a numeric suffix too large for int64_t, is ignored.
 class RecoveryManager {
  public:
   struct Options {
@@ -124,13 +128,16 @@ class RecoveryManager {
   Status Bootstrap(core::ShapeLibrary library);
 
   /// Rebuilds the serving state from disk: newest intact snapshot
-  /// generation plus the surviving WAL records. NotFound if the directory
-  /// holds no snapshot; IOError if no generation can be restored;
-  /// FailedPrecondition if the newest readable generation was written
-  /// under other decay/pmf_floor/sketch_k options. Only generations whose
-  /// bytes fail the container checks (short, torn, CRC) are deleted, and
-  /// only once a generation has been restored; an intact image this build
-  /// cannot use (another payload kind or version) is skipped and kept.
+  /// generation plus the surviving WAL records of the segments it does
+  /// not cover, replayed shard-parallel (the same state at any thread
+  /// count). NotFound if the directory holds no snapshot; IOError if no
+  /// generation can be restored; FailedPrecondition if the newest
+  /// readable generation was written under other decay/pmf_floor/sketch_k
+  /// options. Only generations whose bytes fail the container checks
+  /// (short, torn, CRC) are deleted, and only once a generation has been
+  /// restored; an intact image this build cannot use (another payload
+  /// kind or version) is skipped and kept. WAL segments the restored
+  /// generation covers are left on disk unread.
   Result<RecoveryReport> Recover();
 
   /// Checks the observation with the service's input policy

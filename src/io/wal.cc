@@ -6,6 +6,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <utility>
 
 #include "common/strings.h"
 #include "io/codec.h"
@@ -43,8 +44,10 @@ Status WriteAllFd(int fd, std::string_view bytes, const std::string& path) {
 
 }  // namespace
 
-Result<WalScanResult> ScanWalSegment(std::string_view bytes) {
+Result<WalScanResult> ScanWalSegment(std::string image) {
   WalScanResult scan;
+  scan.bytes = std::make_unique<const std::string>(std::move(image));
+  const std::string_view bytes = *scan.bytes;
   if (bytes.size() < kWalHeaderSize) {
     // Crash between create and header fsync: nothing usable, but not an
     // error — recovery truncates to zero and rewrites the header.
@@ -95,7 +98,7 @@ Result<WalScanResult> ScanWalSegment(std::string_view bytes) {
 
 Result<WalScanResult> ScanWalFile(const std::string& path) {
   RVAR_ASSIGN_OR_RETURN(std::string bytes, ReadFileToString(path));
-  return ScanWalSegment(bytes);
+  return ScanWalSegment(std::move(bytes));
 }
 
 Result<WalWriter> WalWriter::Create(const std::string& path,

@@ -12,6 +12,7 @@
 #define RVAR_IO_WAL_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -27,10 +28,18 @@ inline constexpr uint32_t kWalFormatVersion = 1;
 inline constexpr size_t kWalHeaderSize = 20;
 
 /// \brief Outcome of scanning one WAL segment.
+///
+/// The result owns the segment bytes once, on the heap, and `records`
+/// views into them: the views stay valid for as long as the result (or
+/// whatever it is moved into) lives, and moving it never relocates the
+/// bytes they point at.
 struct WalScanResult {
   uint64_t segment_id = 0;
-  /// Record payloads of the intact prefix, in append order.
-  std::vector<std::string> records;
+  /// The scanned segment image; the storage behind `records`.
+  std::unique_ptr<const std::string> bytes;
+  /// Record payloads of the intact prefix, in append order (views into
+  /// `*bytes`; each one passed its CRC check).
+  std::vector<std::string_view> records;
   /// Length of the prefix (header + intact records) that parsed cleanly;
   /// recovery truncates the file to this size.
   uint64_t valid_bytes = 0;
@@ -47,8 +56,9 @@ struct WalScanResult {
 /// itself is present but unusable — bad magic, unreadable version, header
 /// checksum mismatch — meaning nothing in the file can be trusted. A
 /// short header (file shorter than kWalHeaderSize) is reported as a torn
-/// empty segment, not an error.
-Result<WalScanResult> ScanWalSegment(std::string_view bytes);
+/// empty segment, not an error. Takes ownership of the image, so the
+/// record views need no copy.
+Result<WalScanResult> ScanWalSegment(std::string image);
 
 /// Reads and scans a segment file.
 Result<WalScanResult> ScanWalFile(const std::string& path);

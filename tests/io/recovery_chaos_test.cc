@@ -16,9 +16,11 @@
 #include <utility>
 #include <vector>
 
+#include "common/parallel.h"
 #include "common/rng.h"
 #include "core/normalization.h"
 #include "core/shape_library.h"
+#include "core/shape_service.h"
 #include "io/codec.h"
 #include "io/serialize.h"
 #include "io/snapshot.h"
@@ -428,6 +430,281 @@ TEST_F(RecoveryChaosTest, OptionMismatchIsFailedPreconditionAndDeletesNothing) {
   EXPECT_EQ(report->snapshot_generation, 2);
   EXPECT_EQ(report->num_snapshots_discarded, 1);
   EXPECT_FALSE(std::filesystem::exists(dir + "/snapshot-000003"));
+}
+
+// A stray file whose numeric suffix does not fit in int64_t is a malformed
+// name like any other: Open ignores it, so it neither pushes the segment
+// numbering past itself nor shows up in Recover as a phantom corrupt
+// segment, and it stays on disk untouched.
+TEST_F(RecoveryChaosTest, OverlongSegmentSuffixIsIgnored) {
+  const std::string dir = root_ + "/overlong";
+  {
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->Bootstrap(MakeLibrary(6)).ok());
+    ASSERT_TRUE(manager->Observe(1, 1.5).ok());
+  }
+  const std::string stray = dir + "/wal-99999999999999999999";
+  ASSERT_TRUE(AtomicWriteFile(stray, "not a segment").ok());
+
+  auto revived = RecoveryManager::Open(dir);
+  ASSERT_TRUE(revived.ok());
+  auto report = revived->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->Count(RecoveryReason::kWalSegmentCorrupt), 0);
+  EXPECT_EQ(report->num_wal_segments_scanned, 1);
+  EXPECT_EQ(report->wal_records_applied, 1);
+  // Bootstrap wrote wal-000001; the post-recovery segment is the next id.
+  EXPECT_EQ(StateFiles(dir),
+            (std::vector<std::string>{"snapshot-000001", "wal-000001",
+                                      "wal-000002",
+                                      "wal-99999999999999999999"}));
+  auto stray_bytes = ReadFileToString(stray);
+  ASSERT_TRUE(stray_bytes.ok());
+  EXPECT_EQ(*stray_bytes, "not a segment");
+}
+
+// Recover reads only the WAL the restored snapshot does not cover: a torn
+// tail in a segment the newest generation covers is left on disk as it
+// is, and healed only when a fallback to an older generation needs that
+// segment.
+TEST_F(RecoveryChaosTest, CoveredSegmentsAreSkippedUntilAFallbackNeedsThem) {
+  constexpr int kPerSegment = 12;
+  const core::ShapeLibrary library = MakeLibrary(11);
+  const std::vector<Observation> stream = MakeStream(2 * kPerSegment, 17);
+
+  // Reference: never crashes. Bootstrap -> gen 1 + wal-000001; the
+  // checkpoint after the first half -> gen 2 + wal-000002.
+  auto reference = RecoveryManager::Open(root_ + "/reference");
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->Bootstrap(library).ok());
+  const std::string dir = root_ + "/victim";
+  {
+    auto victim = RecoveryManager::Open(dir);
+    ASSERT_TRUE(victim.ok());
+    ASSERT_TRUE(victim->Bootstrap(library).ok());
+    for (size_t i = 0; i < stream.size(); ++i) {
+      ASSERT_TRUE(reference->Observe(stream[i].group_id, stream[i].value)
+                      .ok());
+      ASSERT_TRUE(victim->Observe(stream[i].group_id, stream[i].value).ok());
+      if (i + 1 == kPerSegment) {
+        ASSERT_TRUE(reference->Checkpoint().ok());
+        ASSERT_TRUE(victim->Checkpoint().ok());
+      }
+    }
+  }
+
+  // Tear the tail of wal-000001, which generation 2 covers.
+  const std::string covered = dir + "/wal-000001";
+  const uint64_t intact_size = std::filesystem::file_size(covered);
+  {
+    std::ofstream out(covered, std::ios::binary | std::ios::app);
+    out << std::string("\x40\x00\x00\x00torn", 8);
+  }
+  auto torn_bytes = ReadFileToString(covered);
+  ASSERT_TRUE(torn_bytes.ok());
+
+  {
+    auto revived = RecoveryManager::Open(dir);
+    ASSERT_TRUE(revived.ok());
+    auto report = revived->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->snapshot_generation, 2);
+    EXPECT_EQ(report->num_wal_segments_scanned, 1);  // wal-000002 only
+    EXPECT_EQ(report->wal_records_applied, kPerSegment);
+    EXPECT_EQ(report->Count(RecoveryReason::kWalTornTail), 0);
+    EXPECT_EQ(report->Count(RecoveryReason::kWalStale), 0);
+    EXPECT_EQ(report->wal_bytes_truncated, 0);
+    auto after = ReadFileToString(covered);
+    ASSERT_TRUE(after.ok());
+    EXPECT_EQ(*after, *torn_bytes) << "a covered segment was rewritten";
+    ExpectStatesBitIdentical(reference->state(), revived->state());
+  }
+
+  // Generation 2 rots: the fallback to generation 1 needs wal-000001, so
+  // it scans it, reports and truncates the torn tail, and replays it.
+  const std::string snap2 = dir + "/snapshot-000002";
+  auto snap_bytes = ReadFileToString(snap2);
+  ASSERT_TRUE(snap_bytes.ok());
+  const sim::StorageFaultPlan faults(23);
+  ASSERT_TRUE(AtomicWriteFile(snap2, faults.FlipBits(*snap_bytes, 3)).ok());
+  auto fallback = RecoveryManager::Open(dir);
+  ASSERT_TRUE(fallback.ok());
+  auto report = fallback->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->snapshot_generation, 1);
+  EXPECT_EQ(report->Count(RecoveryReason::kSnapshotCorrupt), 1);
+  // wal-000001, wal-000002 and the empty wal-000003 the first Recover
+  // rotated to.
+  EXPECT_EQ(report->num_wal_segments_scanned, 3);
+  EXPECT_EQ(report->Count(RecoveryReason::kWalTornTail), 1);
+  EXPECT_EQ(report->wal_bytes_truncated, 8);
+  EXPECT_EQ(report->wal_records_applied, 2 * kPerSegment);
+  EXPECT_EQ(std::filesystem::file_size(covered), intact_size);
+  ExpectStatesBitIdentical(reference->state(), fallback->state());
+}
+
+// Recover skips segments below the restored image's first post-snapshot
+// segment, so the segments it writes must never be numbered below it,
+// even when the WAL files that would have pushed Open's numbering past it
+// are gone: observations logged after such a recovery survive the next.
+TEST_F(RecoveryChaosTest, LostSegmentsDoNotRenumberBelowTheSnapshot) {
+  const std::string dir = root_ + "/lost";
+  {
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->Bootstrap(MakeLibrary(2)).ok());  // wal-000001
+  }
+  for (int i = 0; i < 2; ++i) {  // each Recover rotates: wal-000002, -03
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->Recover().ok());
+  }
+  {
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->Recover().ok());  // wal-000004
+    ASSERT_TRUE(manager->Checkpoint().ok());  // gen 2 replays from wal-000005
+  }
+  for (const std::string& name : StateFiles(dir)) {
+    if (name.rfind("wal-", 0) == 0) std::filesystem::remove(dir + "/" + name);
+  }
+  {
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok());
+    auto report = manager->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->snapshot_generation, 2);
+    ASSERT_TRUE(manager->Observe(4, 2.5).ok());
+  }
+  EXPECT_TRUE(std::filesystem::exists(dir + "/wal-000005"));
+  auto manager = RecoveryManager::Open(dir);
+  ASSERT_TRUE(manager.ok());
+  auto report = manager->Recover();
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_EQ(report->wal_records_applied, 1);
+  EXPECT_EQ(manager->state().trackers.at(4).count(), 1);
+}
+
+// The canonical kShapeServiceState image a recovered manager holds: the
+// service-state record of the generation its next Checkpoint writes.
+std::string CheckpointedServiceState(RecoveryManager* manager) {
+  EXPECT_TRUE(manager->Checkpoint().ok());
+  auto bytes = ReadFileToString(manager->SnapshotPath(manager->generation()));
+  EXPECT_TRUE(bytes.ok());
+  auto reader = SnapshotReader::Open(*std::move(bytes),
+                                     PayloadKind::kDurableState);
+  EXPECT_TRUE(reader.ok()) << reader.status().ToString();
+  auto record = reader->Record(2);
+  EXPECT_TRUE(record.ok());
+  return std::string(*record);
+}
+
+// Replay applies each shard's records in a parallel region. Duplicated,
+// reordered and policy-rejected records in different shards must leave
+// the same service image and the same report at every thread count, and
+// the image must equal that of a service at 1, 4 or 16 shards fed the
+// surviving records in sequence order. Labeled chaos and concurrency.
+TEST(RecoveryParallelReplayTest, ReplayIsIdenticalAtAnyThreadCount) {
+  const ScopedTempDir temp;
+  const core::ShapeLibrary library = MakeLibrary(21);
+  const std::vector<Observation> stream = MakeStream(40, 29);
+
+  // Four groups owned by four different shards of the manager's service.
+  auto probe = core::ShapeService::Make(&library);
+  ASSERT_TRUE(probe.ok());
+  std::vector<int> groups;
+  std::vector<size_t> shards;
+  for (int gid = 0; groups.size() < 4; ++gid) {
+    const size_t shard = (*probe)->ShardIndexFor(gid);
+    if (std::find(shards.begin(), shards.end(), shard) == shards.end()) {
+      groups.push_back(gid);
+      shards.push_back(shard);
+    }
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const uint64_t n = stream.size();
+  // The hand-framed tail, in arrival order.
+  const std::vector<std::pair<uint64_t, Observation>> tail = {
+      {n + 1, {groups[0], 1.1}},
+      {n + 3, {groups[1], 2.0}},
+      {n + 2, {groups[2], 0.7}},  // reordered
+      {n + 1, {groups[0], 1.1}},  // duplicate
+      {n + 4, {groups[3], nan}},  // rejected: non-finite runtime
+      {n + 5, {-3, 1.0}},         // rejected: negative group id
+      {n + 6, {groups[1], 3.0}},
+  };
+  // What replay applies, in sequence order.
+  std::vector<Observation> expected = stream;
+  expected.push_back({groups[0], 1.1});
+  expected.push_back({groups[2], 0.7});
+  expected.push_back({groups[1], 2.0});
+  expected.push_back({groups[1], 3.0});
+
+  const std::string source = temp.Path("source");
+  {
+    auto manager = RecoveryManager::Open(source);
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->Bootstrap(library).ok());
+    for (const Observation& obs : stream) {
+      ASSERT_TRUE(manager->Observe(obs.group_id, obs.value).ok());
+    }
+  }
+  {
+    const std::string wal = source + "/wal-000001";
+    auto writer = WalWriter::OpenForAppend(
+        wal, 1, std::filesystem::file_size(wal), true);
+    ASSERT_TRUE(writer.ok()) << writer.status().ToString();
+    for (const auto& [seq, obs] : tail) {
+      ASSERT_TRUE(writer->Append(FrameObservation(seq, obs)).ok());
+    }
+  }
+
+  std::string first_image;
+  RecoveryReport first;
+  for (int threads : {1, 2, 4}) {
+    SCOPED_TRACE(threads);
+    const std::string dir = temp.Path("threads-" + std::to_string(threads));
+    std::filesystem::copy(source, dir);
+    SetParallelThreads(threads);
+    auto manager = RecoveryManager::Open(dir);
+    ASSERT_TRUE(manager.ok());
+    auto report = manager->Recover();
+    SetParallelThreads(0);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->Count(RecoveryReason::kWalReordered), 1);
+    EXPECT_EQ(report->Count(RecoveryReason::kWalDuplicate), 1);
+    EXPECT_EQ(report->Count(RecoveryReason::kWalBadPayload), 2);
+    EXPECT_EQ(report->wal_records_applied,
+              static_cast<int64_t>(expected.size()));
+    EXPECT_EQ(manager->last_sequence(), n + 6);
+    const std::string image = CheckpointedServiceState(&*manager);
+    if (threads == 1) {
+      first_image = image;
+      first = *report;
+      continue;
+    }
+    EXPECT_EQ(image, first_image);
+    EXPECT_EQ(report->snapshot_generation, first.snapshot_generation);
+    EXPECT_EQ(report->num_snapshots_discarded, first.num_snapshots_discarded);
+    EXPECT_EQ(report->num_wal_segments_scanned,
+              first.num_wal_segments_scanned);
+    EXPECT_EQ(report->wal_records_applied, first.wal_records_applied);
+    EXPECT_EQ(report->wal_bytes_truncated, first.wal_bytes_truncated);
+    EXPECT_EQ(report->counts, first.counts);
+  }
+
+  for (int num_shards : {1, 4, 16}) {
+    core::ShapeService::Options options;
+    options.num_shards = num_shards;
+    auto twin = core::ShapeService::Make(&library, options);
+    ASSERT_TRUE(twin.ok());
+    for (const Observation& obs : expected) {
+      ASSERT_TRUE((*twin)->Observe(obs.group_id, obs.value).ok());
+    }
+    EXPECT_EQ(EncodeShapeServiceState(**twin), first_image)
+        << num_shards << " shards";
+  }
 }
 
 }  // namespace

@@ -5,6 +5,8 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "io/snapshot.h"
 #include "test_util.h"
@@ -12,6 +14,12 @@
 namespace rvar {
 namespace io {
 namespace {
+
+// The scanned payloads as owned strings, for comparison with expected
+// values.
+std::vector<std::string> Records(const WalScanResult& scan) {
+  return std::vector<std::string>(scan.records.begin(), scan.records.end());
+}
 
 class WalTest : public ::testing::Test {
  protected:
@@ -36,7 +44,7 @@ TEST_F(WalTest, AppendAndScanRoundTrip) {
   auto scan = ScanWalFile(path_);
   ASSERT_TRUE(scan.ok()) << scan.status().ToString();
   EXPECT_EQ(scan->segment_id, 1u);
-  EXPECT_EQ(scan->records,
+  EXPECT_EQ(Records(*scan),
             (std::vector<std::string>{"one", "", "three"}));
   EXPECT_FALSE(scan->torn_tail);
   EXPECT_FALSE(scan->corrupt_record);
@@ -55,7 +63,7 @@ TEST_F(WalTest, TornTailIsDetectedAndHealed) {
 
   auto scan = ScanWalFile(path_);
   ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->records, (std::vector<std::string>{"intact record"}));
+  EXPECT_EQ(Records(*scan), (std::vector<std::string>{"intact record"}));
   EXPECT_TRUE(scan->torn_tail);
   EXPECT_EQ(scan->valid_bytes, intact_size);
   EXPECT_EQ(scan->dropped_bytes,
@@ -68,7 +76,7 @@ TEST_F(WalTest, TornTailIsDetectedAndHealed) {
   ASSERT_TRUE(writer->Append("after crash").ok());
   auto rescan = ScanWalFile(path_);
   ASSERT_TRUE(rescan.ok());
-  EXPECT_EQ(rescan->records,
+  EXPECT_EQ(Records(*rescan),
             (std::vector<std::string>{"intact record", "after crash"}));
   EXPECT_FALSE(rescan->torn_tail);
 }
@@ -106,7 +114,7 @@ TEST_F(WalTest, CorruptRecordStopsTheScan) {
   auto scan = ScanWalFile(path_);
   ASSERT_TRUE(scan.ok());
   // RocksDB semantics: everything from the corrupt record on is dropped.
-  EXPECT_EQ(scan->records, (std::vector<std::string>{"good one"}));
+  EXPECT_EQ(Records(*scan), (std::vector<std::string>{"good one"}));
   EXPECT_TRUE(scan->corrupt_record);
   EXPECT_GT(scan->dropped_bytes, 0u);
 }
@@ -147,7 +155,31 @@ TEST_F(WalTest, SyncedWriterSurvivesWithoutCleanClose) {
   ASSERT_TRUE(writer->Append("durable").ok());
   auto scan = ScanWalFile(path_);
   ASSERT_TRUE(scan.ok());
-  EXPECT_EQ(scan->records, (std::vector<std::string>{"durable"}));
+  EXPECT_EQ(Records(*scan), (std::vector<std::string>{"durable"}));
+}
+
+// The record views point into storage the result owns on the heap, so
+// they survive the result being returned and moved, even for a payload
+// short enough to live in a std::string's inline buffer.
+TEST_F(WalTest, RecordViewsSurviveMoves) {
+  {
+    auto writer = WalWriter::Create(path_, 1, true);
+    ASSERT_TRUE(writer.ok());
+    ASSERT_TRUE(writer->Append("x").ok());
+  }
+  auto scan = ScanWalFile(path_);
+  ASSERT_TRUE(scan.ok()) << scan.status().ToString();
+  WalScanResult moved = *std::move(scan);
+  std::vector<WalScanResult> holder;
+  holder.push_back(std::move(moved));
+  holder.emplace_back();  // reallocates, moving the first result again
+  const WalScanResult& kept = holder.front();
+  ASSERT_EQ(kept.records.size(), 1u);
+  EXPECT_EQ(kept.records[0], "x");
+  ASSERT_NE(kept.bytes, nullptr);
+  EXPECT_GE(kept.records[0].data(), kept.bytes->data());
+  EXPECT_LT(kept.records[0].data(), kept.bytes->data() + kept.bytes->size());
+  EXPECT_EQ(kept.valid_bytes, kept.bytes->size());
 }
 
 }  // namespace

@@ -22,3 +22,11 @@ endforeach()
 foreach(_t IN LISTS sketch_codec_test_TESTS)
   set_tests_properties("${_t}" PROPERTIES LABELS "sketch;chaos")
 endforeach()
+
+# The thread-count determinism case of the recovery suite also runs under
+# TSan with the other concurrency suites.
+foreach(_t IN LISTS io_chaos_test_TESTS)
+  if(_t MATCHES "^RecoveryParallelReplayTest\\.")
+    set_tests_properties("${_t}" PROPERTIES LABELS "chaos;concurrency")
+  endif()
+endforeach()

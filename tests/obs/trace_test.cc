@@ -1,11 +1,20 @@
 // Tests for trace spans: RAII timing, parent/child nesting through the
-// thread-local span stack, ring-buffer bounding, and the sampling switch.
+// thread-local span stack, ring-buffer bounding, the sampling switch, and
+// the phase spans of a recovery pass.
 
 #include "obs/trace.h"
 
+#include <algorithm>
 #include <string>
+#include <vector>
 
+#include "common/rng.h"
+#include "core/normalization.h"
+#include "core/shape_library.h"
 #include "gtest/gtest.h"
+#include "io/recovery.h"
+#include "sim/telemetry.h"
+#include "test_util.h"
 
 namespace rvar {
 namespace obs {
@@ -109,6 +118,65 @@ TEST(Sampling, InactiveParentMakesChildrenRoots) {
   ASSERT_EQ(spans.size(), 1u);
   EXPECT_EQ(std::string(spans[0].name), "on");
   EXPECT_EQ(spans[0].parent_id, 0u);
+}
+
+// Recover reports its phases as children of the recovery/recover span:
+// restoring the snapshot, scanning the WAL, replaying it, and rotating to
+// a fresh segment.
+TEST(RecoverySpans, PhasesNestUnderTheRecoverSpan) {
+  sim::TelemetryStore store;
+  core::GroupMedians medians;
+  Rng rng(4);
+  for (int gid = 0; gid < 6; ++gid) {
+    const double sigma = gid % 2 == 0 ? 0.05 : 0.4;
+    for (int i = 0; i < 30; ++i) {
+      sim::JobRun run;
+      run.group_id = gid;
+      run.runtime_seconds = 100.0 * std::max(0.1, rng.Normal(1.0, sigma));
+      store.Add(run);
+    }
+    medians.Set(gid, 100.0);
+  }
+  core::ShapeLibraryConfig config;
+  config.num_clusters = 2;
+  config.min_support = 10;
+  auto library = core::ShapeLibrary::Build(store, medians, config);
+  ASSERT_TRUE(library.ok()) << library.status().ToString();
+
+  const ScopedTempDir temp;
+  {
+    auto manager = io::RecoveryManager::Open(temp.path());
+    ASSERT_TRUE(manager.ok());
+    ASSERT_TRUE(manager->Bootstrap(*std::move(library)).ok());
+    for (int i = 0; i < 20; ++i) {
+      ASSERT_TRUE(manager->Observe(i % 6, 1.0 + 0.05 * i).ok());
+    }
+  }
+  auto manager = io::RecoveryManager::Open(temp.path());
+  ASSERT_TRUE(manager.ok());
+  SetSampling(true);
+  Tracer::Default().Clear();
+  ASSERT_TRUE(manager->Recover().ok());
+  const std::vector<SpanRecord> spans = Tracer::Default().Snapshot();
+
+  const auto find = [&](const std::string& name) {
+    return std::find_if(spans.begin(), spans.end(),
+                        [&](const SpanRecord& s) { return s.name == name; });
+  };
+  const auto recover = find("recovery/recover");
+  ASSERT_NE(recover, spans.end());
+  double children_seconds = 0.0;
+  for (const char* phase :
+       {"recovery/restore_snapshot", "recovery/scan_wal", "recovery/replay",
+        "recovery/rotate_wal"}) {
+    const auto child = find(phase);
+    ASSERT_NE(child, spans.end()) << phase;
+    EXPECT_EQ(child->parent_id, recover->span_id) << phase;
+    EXPECT_EQ(child->depth, recover->depth + 1) << phase;
+    EXPECT_GE(child->start_seconds, recover->start_seconds) << phase;
+    children_seconds += child->duration_seconds;
+  }
+  EXPECT_LE(children_seconds, recover->duration_seconds);
 }
 
 }  // namespace
