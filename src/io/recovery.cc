@@ -616,12 +616,18 @@ Status RecoveryManager::Checkpoint() {
         "Checkpoint requires live state (Bootstrap() or Recover() first)");
   }
   RecoveryMetrics::Get().checkpoints_total->Increment();
-  const int64_t generation = latest_generation_ + 1;
-  RVAR_RETURN_NOT_OK(WriteSnapshot(generation, next_segment_id_));
-  snapshot_generations_.push_back(generation);
-  first_segment_after_[generation] = next_segment_id_;
-  latest_generation_ = generation;
+  // Rotate before writing: Recover skips every segment below the image's
+  // first post-snapshot segment, so no image may name one that later
+  // appends miss. A failed rotation leaves appends in the old segment and
+  // writes no image; a failed write leaves the older generations, which
+  // replay both segments.
   RVAR_RETURN_NOT_OK(RotateWal());
+  const uint64_t first_segment = wal_->segment_id();
+  const int64_t generation = latest_generation_ + 1;
+  RVAR_RETURN_NOT_OK(WriteSnapshot(generation, first_segment));
+  snapshot_generations_.push_back(generation);
+  first_segment_after_[generation] = first_segment;
+  latest_generation_ = generation;
   Prune();
   return Status::OK();
 }

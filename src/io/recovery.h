@@ -146,8 +146,9 @@ class RecoveryManager {
   /// logs it, then applies it to the service. Requires a live state.
   Status Observe(int group_id, double normalized_runtime);
 
-  /// Writes the next snapshot generation atomically, rotates the WAL, and
-  /// prunes generations/segments beyond keep_snapshots.
+  /// Rotates the WAL, writes the next snapshot generation atomically, and
+  /// prunes generations/segments beyond keep_snapshots. On failure no
+  /// kept generation covers a record logged afterwards.
   Status Checkpoint();
 
   /// A copy of the live state (library set after Bootstrap()/Recover()),

@@ -586,6 +586,47 @@ TEST_F(RecoveryChaosTest, LostSegmentsDoNotRenumberBelowTheSnapshot) {
   EXPECT_EQ(manager->state().trackers.at(4).count(), 1);
 }
 
+// A checkpoint that fails halfway must leave every observation logged
+// after it replayable. A directory where the next WAL segment or the next
+// snapshot generation goes makes the rotation or the image write fail;
+// the manager keeps taking observations, crashes, the obstacle goes, and
+// Recover falls back to generation 1 and replays all of them.
+TEST_F(RecoveryChaosTest, FailedCheckpointLosesNoLaterObservation) {
+  const core::ShapeLibrary library = MakeLibrary(31);
+  const std::vector<Observation> stream = MakeStream(20, 37);
+  auto reference = RecoveryManager::Open(root_ + "/reference");
+  ASSERT_TRUE(reference.ok());
+  ASSERT_TRUE(reference->Bootstrap(library).ok());
+  for (const Observation& obs : stream) {
+    ASSERT_TRUE(reference->Observe(obs.group_id, obs.value).ok());
+  }
+  for (const char* obstacle : {"wal-000002", "snapshot-000002"}) {
+    SCOPED_TRACE(obstacle);
+    const std::string dir = root_ + "/before-" + obstacle;
+    {
+      auto victim = RecoveryManager::Open(dir);
+      ASSERT_TRUE(victim.ok());
+      ASSERT_TRUE(victim->Bootstrap(library).ok());  // gen 1, wal-000001
+      for (size_t i = 0; i < stream.size(); ++i) {
+        if (i == stream.size() / 2) {
+          ASSERT_TRUE(std::filesystem::create_directory(dir + "/" + obstacle));
+          EXPECT_FALSE(victim->Checkpoint().ok());
+        }
+        ASSERT_TRUE(victim->Observe(stream[i].group_id, stream[i].value).ok());
+      }
+    }
+    std::filesystem::remove(dir + "/" + obstacle);
+    auto revived = RecoveryManager::Open(dir);
+    ASSERT_TRUE(revived.ok());
+    auto report = revived->Recover();
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_EQ(report->snapshot_generation, 1);
+    EXPECT_EQ(report->wal_records_applied,
+              static_cast<int64_t>(stream.size()));
+    ExpectStatesBitIdentical(reference->state(), revived->state());
+  }
+}
+
 // The canonical kShapeServiceState image a recovered manager holds: the
 // service-state record of the generation its next Checkpoint writes.
 std::string CheckpointedServiceState(RecoveryManager* manager) {
@@ -605,7 +646,14 @@ std::string CheckpointedServiceState(RecoveryManager* manager) {
 // the same service image and the same report at every thread count, and
 // the image must equal that of a service at 1, 4 or 16 shards fed the
 // surviving records in sequence order. Labeled chaos and concurrency.
-TEST(RecoveryParallelReplayTest, ReplayIsIdenticalAtAnyThreadCount) {
+class RecoveryParallelReplayTest : public ::testing::Test {
+ protected:
+  // Restores the default pool width even when an assertion ends the test
+  // early, so no forced width leaks into later tests.
+  void TearDown() override { SetParallelThreads(0); }
+};
+
+TEST_F(RecoveryParallelReplayTest, ReplayIsIdenticalAtAnyThreadCount) {
   const ScopedTempDir temp;
   const core::ShapeLibrary library = MakeLibrary(21);
   const std::vector<Observation> stream = MakeStream(40, 29);
@@ -670,7 +718,6 @@ TEST(RecoveryParallelReplayTest, ReplayIsIdenticalAtAnyThreadCount) {
     auto manager = RecoveryManager::Open(dir);
     ASSERT_TRUE(manager.ok());
     auto report = manager->Recover();
-    SetParallelThreads(0);
     ASSERT_TRUE(report.ok()) << report.status().ToString();
     EXPECT_EQ(report->Count(RecoveryReason::kWalReordered), 1);
     EXPECT_EQ(report->Count(RecoveryReason::kWalDuplicate), 1);
