@@ -264,7 +264,7 @@ int main() {
   // in the "serving" section) because the absolute numbers are
   // machine-dependent; the 4-shard-vs-1-shard ratio is the signal.
   constexpr int kObserveThreads = 4;
-  constexpr int kObservePerThread = 30000;
+  constexpr int kObservePerThread = 250000;
   constexpr int kObserveGroups = 64;
   auto observe_qps = [&](int num_shards) -> double {
     core::ShapeService::Options options;
@@ -288,6 +288,17 @@ int main() {
   };
   const double observe_qps_1shard = observe_qps(1);
   const double observe_qps_4shard = observe_qps(4);
+  // The obs layer's overhead on the same 4-shard run: timing off, then on
+  // again right after it so the pair shares the machine's state. CI fails
+  // when on/off drops below 0.8 (instrumentation you can leave on).
+  obs::SetSampling(false);
+  const double observe_qps_sampling_off = observe_qps(4);
+  obs::SetSampling(true);
+  const double observe_qps_sampling_on = observe_qps(4);
+  const double observe_sampling_ratio =
+      observe_qps_sampling_off > 0.0
+          ? observe_qps_sampling_on / observe_qps_sampling_off
+          : 0.0;
 
   const double calibration = CalibrationSeconds();
   std::FILE* out = std::fopen("BENCH_serving.json", "w");
@@ -321,7 +332,10 @@ int main() {
       "    \"shed_deadline\": %lld,\n"
       "    \"observe_qps_1shard\": %.0f,\n"
       "    \"observe_qps_4shard\": %.0f,\n"
-      "    \"observe_shard_speedup\": %.3f\n"
+      "    \"observe_shard_speedup\": %.3f,\n"
+      "    \"observe_qps_sampling_on\": %.0f,\n"
+      "    \"observe_qps_sampling_off\": %.0f,\n"
+      "    \"observe_sampling_ratio\": %.3f\n"
       "  }\n"
       "}\n",
       calibration, batch_predict_s, closed_loop_s, kClosedTotal,
@@ -340,15 +354,18 @@ int main() {
           stats.shed_by_reason[static_cast<int>(serve::ShedReason::kDeadline)]),
       observe_qps_1shard, observe_qps_4shard,
       observe_qps_1shard > 0.0 ? observe_qps_4shard / observe_qps_1shard
-                               : 0.0);
+                               : 0.0,
+      observe_qps_sampling_on, observe_qps_sampling_off,
+      observe_sampling_ratio);
   std::fclose(out);
   std::printf(
       "serving summary written to BENCH_serving.json "
       "(closed-loop %.0f qps, p99 %.4fs, spike shed rate %.2f%%, "
-      "observe 4-shard/1-shard %.2fx)\n",
+      "observe 4-shard/1-shard %.2fx, sampling on/off %.2fx)\n",
       closed_loop_qps, p99,
       100.0 * static_cast<double>(stats.shed) / kSpikeTotal,
       observe_qps_1shard > 0.0 ? observe_qps_4shard / observe_qps_1shard
-                               : 0.0);
+                               : 0.0,
+      observe_sampling_ratio);
   return 0;
 }

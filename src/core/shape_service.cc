@@ -10,6 +10,16 @@
 namespace rvar {
 namespace core {
 
+namespace {
+
+// Observe, Posterior and PriorShape each take well under a microsecond,
+// so two clock reads per call would dominate them (DESIGN.md §9): their
+// latency histograms time one call in this many per thread. The call
+// counters stay exact.
+constexpr uint32_t kHotPathTimerPeriod = 16;
+
+}  // namespace
+
 ShapeService::ShapeService(const ShapeLibrary* library, Options options,
                            std::shared_ptr<const ClusterLogPmf> log_pmf)
     : library_(library),
@@ -135,7 +145,7 @@ Status ShapeService::ValidateObservation(int group_id,
 }
 
 Status ShapeService::Observe(int group_id, double normalized_runtime) {
-  obs::ScopedLatencyTimer timer(observe_latency_);
+  obs::ScopedLatencyTimer timer(observe_latency_, kHotPathTimerPeriod);
   RVAR_RETURN_NOT_OK(ValidateObservation(group_id, normalized_runtime));
   observe_total_->Increment();
   const size_t shard_index = ShardIndexFor(group_id);
@@ -160,7 +170,7 @@ Status ShapeService::Observe(int group_id, double normalized_runtime) {
 }
 
 std::vector<double> ShapeService::Posterior(int group_id) const {
-  obs::ScopedLatencyTimer timer(query_latency_);
+  obs::ScopedLatencyTimer timer(query_latency_, kHotPathTimerPeriod);
   const size_t shard_index = ShardIndexFor(group_id);
   Shard& shard = shards_[shard_index];
   std::unique_lock<std::mutex> lock = LockShard(shard_index);
@@ -227,7 +237,7 @@ const ShapeService::CacheEntry& ShapeService::ReconstructLocked(
 }
 
 int ShapeService::PriorShape(int group_id) const {
-  obs::ScopedLatencyTimer timer(query_latency_);
+  obs::ScopedLatencyTimer timer(query_latency_, kHotPathTimerPeriod);
   const size_t shard_index = ShardIndexFor(group_id);
   Shard& shard = shards_[shard_index];
   std::unique_lock<std::mutex> lock = LockShard(shard_index);

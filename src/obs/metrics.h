@@ -5,7 +5,8 @@
 // process-wide Registry. Handles returned by the registry are stable for
 // its lifetime and updated with relaxed atomics, so the hot paths
 // (ShapeService::Observe, WAL appends, telemetry ingestion) pay one atomic
-// add per event and never take a lock after registration.
+// add per event and never take a lock after registration. Latency timers
+// on sub-microsecond paths read the clock on one call in a fixed period.
 //
 // Instrumentation is deterministic-safe by construction: metric values are
 // write-only from the instrumented code's point of view — nothing in the
@@ -121,6 +122,18 @@ class ScopedLatencyTimer {
       : histogram_(h), active_(h != nullptr && SamplingEnabled()) {
     if (active_) start_ = std::chrono::steady_clock::now();
   }
+  /// Sampled form for sub-microsecond paths, where the two clock reads
+  /// would cost more than the work they time: every call advances one
+  /// per-thread tick, and only calls whose tick is a multiple of `period`
+  /// (a power of two) time themselves. The histogram's count is then the
+  /// number of timed calls, not the number of calls; which calls those are
+  /// depends only on the calling thread's own call sequence.
+  ScopedLatencyTimer(Histogram* h, uint32_t period)
+      : histogram_(h),
+        active_((NextTick() & (period - 1)) == 0 && h != nullptr &&
+                SamplingEnabled()) {
+    if (active_) start_ = std::chrono::steady_clock::now();
+  }
   ~ScopedLatencyTimer() {
     if (active_) {
       histogram_->Observe(std::chrono::duration<double>(
@@ -132,6 +145,11 @@ class ScopedLatencyTimer {
   ScopedLatencyTimer& operator=(const ScopedLatencyTimer&) = delete;
 
  private:
+  static uint32_t NextTick() {
+    thread_local uint32_t tick = 0;
+    return tick++;
+  }
+
   Histogram* histogram_;
   bool active_;
   std::chrono::steady_clock::time_point start_;

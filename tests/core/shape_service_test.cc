@@ -314,6 +314,27 @@ TEST_F(ShapeServiceTest, ContendedGroupCountsEveryObservation) {
   EXPECT_NEAR(mass, 1.0, 1e-9);
 }
 
+// Observe's latency histogram times one call in 16 per thread, while the
+// call counter stays exact.
+TEST_F(ShapeServiceTest, ObserveLatencyIsSampledAndCountIsExact) {
+  auto service = ShapeService::Make(library_);
+  ASSERT_TRUE(service.ok());
+  obs::Registry& registry = obs::Registry::Default();
+  obs::Counter* total = registry.GetCounter("shape_service_observe_total");
+  obs::Histogram* latency =
+      registry.GetHistogram("shape_service_observe_latency_seconds");
+  const int64_t total_before = total->Value();
+  const int64_t timed_before = latency->Count();
+  // A fresh thread, so its timer tick starts at 0.
+  std::thread([&service] {
+    for (int i = 0; i < 512; ++i) {
+      ASSERT_TRUE((*service)->Observe(i % 32, 1.0).ok());
+    }
+  }).join();
+  EXPECT_EQ(total->Value() - total_before, 512);
+  EXPECT_EQ(latency->Count() - timed_before, 32);
+}
+
 TEST_F(ShapeServiceTest, StateRoundTripsThroughExportRestore) {
   ShapeService::Options options;
   options.decay = 0.9;

@@ -4,6 +4,7 @@
 #include "obs/metrics.h"
 
 #include <cmath>
+#include <thread>
 
 #include "gtest/gtest.h"
 
@@ -150,6 +151,34 @@ TEST(Sampling, TimerSkipsWhenOff) {
   SetSampling(true);
   { ScopedLatencyTimer timer(h); }
   EXPECT_EQ(h->Count(), 1);
+}
+
+// Runs `calls` sampled timers on a fresh thread, so the per-thread tick
+// starts at 0, and returns how many calls the histogram recorded.
+int64_t TimedCallsOnFreshThread(uint32_t period, int calls) {
+  Registry registry;
+  Histogram* h = registry.GetHistogram("lat");
+  std::thread([h, period, calls] {
+    for (int i = 0; i < calls; ++i) {
+      ScopedLatencyTimer timer(h, period);
+    }
+  }).join();
+  return h->Count();
+}
+
+TEST(Sampling, SampledTimerTimesOneCallPerPeriod) {
+  EXPECT_EQ(TimedCallsOnFreshThread(16, 160), 10);
+}
+
+TEST(Sampling, SampledTimerWithPeriodOneTimesEveryCall) {
+  EXPECT_EQ(TimedCallsOnFreshThread(1, 160), 160);
+}
+
+TEST(Sampling, SampledTimerSkipsWhenOff) {
+  SetSampling(false);
+  const int64_t timed = TimedCallsOnFreshThread(16, 160);
+  SetSampling(true);
+  EXPECT_EQ(timed, 0);
 }
 
 }  // namespace

@@ -73,6 +73,28 @@ TEST(ObsConcurrency, HistogramObservationsAllLand) {
   EXPECT_NEAR(h->Sum(), expected_sum, 1e-6 * expected_sum);
 }
 
+// Each thread's tick is its own: 8 fresh threads at period 16 time
+// exactly one call in 16 each, and the buckets still sum to the count.
+TEST(ObsConcurrency, SampledTimerTimesOneCallPerPeriodPerThread) {
+  constexpr int kCallsPerThread = 1600;
+  constexpr int kPeriod = 16;
+  Registry registry;
+  Histogram* h = registry.GetHistogram("lat");
+  std::vector<std::thread> threads;
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([h] {
+      for (int i = 0; i < kCallsPerThread; ++i) {
+        ScopedLatencyTimer timer(h, kPeriod);
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(h->Count(), kThreads * kCallsPerThread / kPeriod);
+  int64_t bucket_total = 0;
+  for (int64_t n : h->BucketCounts()) bucket_total += n;
+  EXPECT_EQ(bucket_total, h->Count());
+}
+
 TEST(ObsConcurrency, TracerRingUnderContention) {
   Tracer tracer(/*capacity=*/64);
   std::vector<std::thread> threads;

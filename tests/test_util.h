@@ -26,7 +26,8 @@ class ScopedTempDir {
         ::testing::UnitTest::GetInstance()->current_test_info();
     std::string name = "rvar_";
     name += info != nullptr ? TestName(info) : "suite";
-    name += "_" + std::to_string(::getpid());
+    name += '_';
+    name += std::to_string(::getpid());
     path_ = (std::filesystem::temp_directory_path() / name).string();
     std::filesystem::remove_all(path_);
     std::filesystem::create_directories(path_);
