@@ -99,8 +99,8 @@ Result<std::unique_ptr<VariationPredictor>> VariationPredictor::Train(
     return Status::FailedPrecondition("no labeled training rows");
   }
 
-  // Force the label space to cover all shapes (GBDT sizes its output by
-  // max label + 1; the paper's label space is the K shapes).
+  // The paper's label space is the K shapes, whether or not D2's labels
+  // reach the top one; every fit below declares all K classes.
   const int num_shapes = predictor->shapes_->num_clusters();
 
   // Optional importance-guided correlation filtering.
@@ -112,7 +112,7 @@ Result<std::unique_ptr<VariationPredictor>> VariationPredictor::Train(
     ml::GbdtConfig probe_config = config.gbdt;
     probe_config.num_rounds = std::min(config.gbdt.num_rounds, 15);
     ml::GbdtClassifier probe(probe_config);
-    RVAR_RETURN_NOT_OK(probe.Fit(train));
+    RVAR_RETURN_NOT_OK(probe.Fit(train, num_shapes));
     RVAR_ASSIGN_OR_RETURN(
         ml::FeatureSelection selection,
         ml::SelectUncorrelatedFeatures(train, probe.feature_importance(),
@@ -122,19 +122,10 @@ Result<std::unique_ptr<VariationPredictor>> VariationPredictor::Train(
     train = ml::ProjectFeatures(train, predictor->kept_);
   }
 
-  // Pad the training set with the class range: GBDT must know all K
-  // classes even if a shape is missing from D2 labels. We add no fake rows;
-  // instead we validate the labels fit in [0, K).
-  for (int label : train.y) {
-    if (label < 0 || label >= num_shapes) {
-      return Status::Internal(StrCat("label ", label, " outside shape range"));
-    }
-  }
-
   auto model = std::make_shared<ml::GbdtClassifier>(config.gbdt);
   {
     obs::ScopedSpan phase("predictor/fit_gbdt");
-    RVAR_RETURN_NOT_OK(model->Fit(train));
+    RVAR_RETURN_NOT_OK(model->Fit(train, num_shapes));
   }
   predictor->model_ = std::move(model);
   const PredictorMetrics& metrics = PredictorMetrics::Get();

@@ -651,7 +651,13 @@ std::vector<const uint8_t*> ColumnPointers(const BinnedDataset& binned) {
 
 GbdtClassifier::GbdtClassifier(GbdtConfig config) : config_(config) {}
 
-Status GbdtClassifier::Fit(const Dataset& d) { return FitImpl(d, nullptr); }
+Status GbdtClassifier::Fit(const Dataset& d) {
+  return FitImpl(d, d.NumClasses(), nullptr);
+}
+
+Status GbdtClassifier::Fit(const Dataset& d, int num_classes) {
+  return FitImpl(d, num_classes, nullptr);
+}
 
 Status GbdtClassifier::FitWithValidation(const Dataset& train,
                                          const Dataset& valid) {
@@ -659,7 +665,7 @@ Status GbdtClassifier::FitWithValidation(const Dataset& train,
   if (valid.y.size() != valid.NumRows() || valid.NumRows() == 0) {
     return Status::InvalidArgument("validation set requires labels");
   }
-  return FitImpl(train, &valid);
+  return FitImpl(train, train.NumClasses(), &valid);
 }
 
 Status GbdtClassifier::FitWarmStart(const Dataset& train,
@@ -674,10 +680,13 @@ Status GbdtClassifier::FitWarmStart(const Dataset& train,
       return Status::InvalidArgument("validation set requires labels");
     }
   }
-  return FitImpl(train, valid, &parent);
+  // A sliding retrain window may miss rare classes entirely; the parent's
+  // class count is the declared label space.
+  return FitImpl(train, parent.num_classes_, valid, &parent);
 }
 
-Status GbdtClassifier::FitImpl(const Dataset& train, const Dataset* valid,
+Status GbdtClassifier::FitImpl(const Dataset& train, int num_classes,
+                               const Dataset* valid,
                                const GbdtClassifier* parent) {
   RVAR_RETURN_NOT_OK(train.Validate());
   if (train.NumRows() == 0) {
@@ -694,23 +703,17 @@ Status GbdtClassifier::FitImpl(const Dataset& train, const Dataset* valid,
     return Status::InvalidArgument(
         "feature_fraction and bagging_fraction must be in (0,1]");
   }
-  num_classes_ = train.NumClasses();
-  if (parent != nullptr) {
-    // A sliding retrain window may miss rare classes entirely; the parent's
-    // class count is authoritative as long as no label exceeds it.
-    if (num_classes_ > parent->num_classes_) {
-      return Status::InvalidArgument(
-          StrCat("training window holds ", num_classes_,
-                 " classes, warm-start parent was fitted with ",
-                 parent->num_classes_));
-    }
-    num_classes_ = parent->num_classes_;
-    if (train.NumFeatures() != parent->importance_.size()) {
-      return Status::InvalidArgument(
-          StrCat("training window holds ", train.NumFeatures(),
-                 " features, warm-start parent was fitted with ",
-                 parent->importance_.size()));
-    }
+  if (train.NumClasses() > num_classes) {
+    return Status::InvalidArgument(
+        StrCat("training labels span ", train.NumClasses(),
+               " classes, the model declares ", num_classes));
+  }
+  num_classes_ = num_classes;
+  if (parent != nullptr && train.NumFeatures() != parent->importance_.size()) {
+    return Status::InvalidArgument(
+        StrCat("training window holds ", train.NumFeatures(),
+               " features, warm-start parent was fitted with ",
+               parent->importance_.size()));
   }
   if (num_classes_ < 2) {
     return Status::InvalidArgument("need at least 2 classes");

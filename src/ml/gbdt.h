@@ -67,7 +67,13 @@ class GbdtClassifier : public Classifier {
       std::vector<double> base_scores, std::vector<std::vector<Tree>> trees,
       std::vector<double> importance);
 
+  /// Fits a model over the label space the labels imply (max label + 1).
   Status Fit(const Dataset& d) override;
+
+  /// Fits a `num_classes`-way model: the declared label space, which a
+  /// training window may not fully cover (a class no row carries keeps a
+  /// near-zero prior). Labels must lie in [0, num_classes).
+  Status Fit(const Dataset& d, int num_classes);
 
   /// Fit with early stopping monitored on `valid` (multiclass logloss).
   Status FitWithValidation(const Dataset& train, const Dataset& valid);
@@ -132,7 +138,8 @@ class GbdtClassifier : public Classifier {
   const GbdtConfig& config() const { return config_; }
 
  private:
-  Status FitImpl(const Dataset& train, const Dataset* valid,
+  /// `num_classes` is the declared label space; no label may exceed it.
+  Status FitImpl(const Dataset& train, int num_classes, const Dataset* valid,
                  const GbdtClassifier* parent = nullptr);
 
   /// Rebuilds flat_ from trees_ (class-major: all rounds of class 0, then

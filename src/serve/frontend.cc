@@ -225,14 +225,30 @@ void ServingFrontend::WorkerLoop(size_t worker_index) {
 bool ServingFrontend::PopBatch(Worker* worker, size_t* shard_index,
                                std::vector<Pending>* batch) {
   std::unique_lock<std::mutex> lock(worker->mu);
-  const auto any_work = [this, worker] {
-    if (stop_.load(std::memory_order_relaxed)) return true;
+  const size_t max_batch = static_cast<size_t>(options_.max_batch);
+  // Linger once per worker, not once per shard: wait until the oldest
+  // request on any owned shard has waited batch_linger, some owned shard
+  // holds a full batch, or stop. Light traffic still amortizes inference
+  // (whatever reaches a shard inside the window joins its batch), and
+  // every later pick finds its head already past the linger, so no request
+  // lingers longer than batch_linger at any shard or worker count.
+  while (!stop_.load(std::memory_order_relaxed)) {
+    bool full = false;
+    auto oldest = std::chrono::steady_clock::time_point::max();
     for (size_t s : worker->shards) {
-      if (!shards_[s].queue.empty()) return true;
+      const std::deque<Pending>& queue = shards_[s].queue;
+      if (queue.empty()) continue;
+      full = full || queue.size() >= max_batch;
+      oldest = std::min(oldest, queue.front().submitted);
     }
-    return false;
-  };
-  worker->cv.wait(lock, any_work);
+    if (oldest == std::chrono::steady_clock::time_point::max()) {
+      worker->cv.wait(lock);
+      continue;
+    }
+    const auto linger_until = oldest + options_.batch_linger;
+    if (full || std::chrono::steady_clock::now() >= linger_until) break;
+    worker->cv.wait_until(lock, linger_until);
+  }
 
   // Round-robin across owned shards so a hot shard cannot starve its
   // siblings on a shared worker.
@@ -249,20 +265,6 @@ bool ServingFrontend::PopBatch(Worker* worker, size_t* shard_index,
   worker->cursor = (picked + 1) % owned;
   const size_t s = worker->shards[picked];
   ShardQueue& shard = shards_[s];
-
-  const size_t max_batch = static_cast<size_t>(options_.max_batch);
-  if (!stop_.load(std::memory_order_relaxed) &&
-      options_.batch_linger.count() > 0 && shard.queue.size() < max_batch) {
-    // Linger briefly so light traffic still amortizes inference; under
-    // overload the shard queue is already >= max_batch and this never
-    // waits.
-    const auto linger_until =
-        std::chrono::steady_clock::now() + options_.batch_linger;
-    worker->cv.wait_until(lock, linger_until, [this, &shard, max_batch] {
-      return stop_.load(std::memory_order_relaxed) ||
-             shard.queue.size() >= max_batch;
-    });
-  }
   const size_t take = std::min(shard.queue.size(), max_batch);
   batch->reserve(take);
   for (size_t i = 0; i < take; ++i) {

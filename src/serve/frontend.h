@@ -61,8 +61,10 @@ struct FrontendOptions {
   /// Requests scored per predictor call; a shard queue drains in batches
   /// of up to this many.
   int max_batch = 64;
-  /// How long a worker waits for the batch to fill before serving a
-  /// partial one. Zero serves whatever is queued immediately.
+  /// Longest a request waits in its queue for a batch to fill: a worker
+  /// serves once the oldest request on any of its shards has waited this
+  /// long (or some shard holds max_batch). Zero serves whatever is queued
+  /// immediately.
   std::chrono::microseconds batch_linger{200};
   /// Deadline budget applied when a request does not set its own.
   std::chrono::milliseconds default_deadline{50};
@@ -167,7 +169,8 @@ class ServingFrontend {
                   FrontendOptions options);
 
   void WorkerLoop(size_t worker_index);
-  /// Blocks for work on any of the worker's shards; picks the next
+  /// Blocks until the oldest request on the worker's shards has waited
+  /// batch_linger, a shard holds max_batch, or stop; then picks the next
   /// non-empty shard round-robin and moves up to max_batch requests out.
   /// False when stopping and every owned queue is drained.
   bool PopBatch(Worker* worker, size_t* shard_index,

@@ -250,6 +250,33 @@ TEST(GbdtClassifierTest, RejectsBadConfig) {
   EXPECT_FALSE(bf.Fit(train).ok());
 }
 
+// A declared class count covers classes the data never labels: the model
+// is K-way, an unlabeled class still gets a (near-zero) probability, and
+// the same data fits bit-identically to the inferred count when the labels
+// reach the top class.
+TEST(GbdtClassifierTest, DeclaredClassCountCoversUnlabeledTopClass) {
+  Rng rng(35);
+  Dataset train = Blobs(60, 0.6, &rng);  // labels 0..2
+  GbdtClassifier declared({.num_rounds = 6});
+  ASSERT_TRUE(declared.Fit(train, 5).ok());
+  EXPECT_EQ(declared.num_classes(), 5);
+  const std::vector<double> proba = declared.PredictProba(train.x[0]);
+  ASSERT_EQ(proba.size(), 5u);
+  EXPECT_LT(proba[3], 0.01);
+  EXPECT_LT(proba[4], 0.01);
+  EXPECT_GT(EvalAccuracy(declared, train), 0.95);
+
+  GbdtClassifier inferred({.num_rounds = 6});
+  GbdtClassifier exact({.num_rounds = 6});
+  ASSERT_TRUE(inferred.Fit(train).ok());
+  ASSERT_TRUE(exact.Fit(train, 3).ok());
+  EXPECT_EQ(inferred.PredictRaw(train.x[0]), exact.PredictRaw(train.x[0]));
+
+  // Labels beyond the declared space are refused.
+  GbdtClassifier narrow({.num_rounds = 6});
+  EXPECT_FALSE(narrow.Fit(train, 2).ok());
+}
+
 TEST(GaussianNaiveBayesTest, SeparatesBlobs) {
   Rng rng(35);
   Dataset train = Blobs(150, 0.6, &rng);

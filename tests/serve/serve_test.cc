@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <future>
 #include <memory>
 #include <thread>
 #include <vector>
@@ -467,6 +469,165 @@ TEST_F(FrontendTest, InvalidAndPostShutdownRequestsAreLabeled) {
   after.run = &run;
   EXPECT_EQ((*frontend)->Submit(after).get().shed, ShedReason::kShutdown);
   (*frontend)->Shutdown();  // idempotent
+}
+
+// One run per distinct shard: copies of a real run re-keyed to synthetic
+// group ids, chosen by the service's own routing hash.
+std::vector<sim::JobRun> OneRunPerShard(const core::ShapeService& service,
+                                        const sim::JobRun& base) {
+  std::vector<sim::JobRun> runs(static_cast<size_t>(service.num_shards()));
+  std::vector<bool> taken(runs.size(), false);
+  size_t filled = 0;
+  for (int gid = 500000; filled < runs.size(); ++gid) {
+    const size_t shard = service.ShardIndexFor(gid);
+    if (taken[shard]) continue;
+    taken[shard] = true;
+    runs[shard] = base;
+    runs[shard].group_id = gid;
+    ++filled;
+  }
+  return runs;
+}
+
+// A worker lingers once across all the shards it owns, not once per shard:
+// one request on each of 16 shards behind one worker resolves after about
+// one linger. Lingering per shard in turn took 16 lingers (~320 ms here).
+TEST_F(FrontendTest, LingerIsPerWorkerNotPerShard) {
+  auto service = MakeService(true);
+  ASSERT_EQ(service->num_shards(), 16);
+  FrontendOptions options = FastOptions();
+  const auto linger = std::chrono::milliseconds(20);
+  options.batch_linger = linger;
+  options.num_workers = 1;
+  auto frontend = ServingFrontend::Make(service.get(), predictor_, options);
+  ASSERT_TRUE(frontend.ok());
+
+  const std::vector<sim::JobRun> runs = OneRunPerShard(*service, SomeRun());
+  const auto start = steady_clock::now();
+  std::vector<std::future<PredictResponse>> futures;
+  for (const sim::JobRun& run : runs) {
+    PredictRequest request;
+    request.run = &run;
+    futures.push_back((*frontend)->Submit(request));
+  }
+  for (auto& future : futures) {
+    const PredictResponse response = future.get();
+    EXPECT_TRUE(response.served()) << ShedReasonName(response.shed);
+  }
+  EXPECT_LT(steady_clock::now() - start, 5 * linger);
+}
+
+// A shard that reaches max_batch is served at once, not after the linger.
+TEST_F(FrontendTest, FullShardSkipsTheLinger) {
+  auto service = MakeService(true);
+  FrontendOptions options = FastOptions();
+  options.batch_linger = std::chrono::seconds(10);
+  options.default_deadline = std::chrono::seconds(60);
+  auto frontend = ServingFrontend::Make(service.get(), predictor_, options);
+  ASSERT_TRUE(frontend.ok());
+
+  const sim::JobRun& run = SomeRun();
+  const auto start = steady_clock::now();
+  std::vector<std::future<PredictResponse>> futures;
+  for (int i = 0; i < options.max_batch; ++i) {
+    PredictRequest request;
+    request.run = &run;
+    futures.push_back((*frontend)->Submit(request));
+  }
+  for (auto& future : futures) {
+    const PredictResponse response = future.get();
+    EXPECT_TRUE(response.served()) << ShedReasonName(response.shed);
+    EXPECT_EQ(response.level, DegradationLevel::kFullModel);
+  }
+  EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(2));
+}
+
+// Shutdown cuts a linger short: it returns promptly, and the lingering
+// request resolves as shed(kShutdown).
+TEST_F(FrontendTest, ShutdownEndsALingerPromptly) {
+  auto service = MakeService(true);
+  FrontendOptions options = FastOptions();
+  options.batch_linger = std::chrono::seconds(10);
+  options.default_deadline = std::chrono::seconds(60);
+  auto frontend = ServingFrontend::Make(service.get(), predictor_, options);
+  ASSERT_TRUE(frontend.ok());
+
+  PredictRequest request;
+  const sim::JobRun& run = SomeRun();
+  request.run = &run;
+  std::future<PredictResponse> future = (*frontend)->Submit(request);
+  // Let the worker take up the request and start lingering on it.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::timeout);
+
+  const auto start = steady_clock::now();
+  (*frontend)->Shutdown();
+  EXPECT_LT(steady_clock::now() - start, std::chrono::seconds(2));
+  ASSERT_EQ(future.wait_for(std::chrono::seconds(0)),
+            std::future_status::ready);
+  EXPECT_EQ(future.get().shed, ShedReason::kShutdown);
+}
+
+// The GBDT's label space is the K library shapes even when the D2 window
+// labels no group with the top one (the suite below, at this seed, misses
+// shape K-1). The model must still be K-class, so every serving path
+// accepts it and the front-end answers from the full model.
+TEST(PredictorLabelSpaceTest, D2MissingTopShapeStillServesFullModel) {
+  sim::SuiteConfig config;
+  config.num_groups = 40;
+  config.d1_days = 3.0;
+  config.d2_days = 1.5;
+  config.d3_days = 0.5;
+  config.d1_support = 12;
+  config.seed = 7;
+  auto suite = sim::BuildStudySuite(config);
+  ASSERT_TRUE(suite.ok()) << suite.status().ToString();
+  core::PredictorConfig pc;
+  pc.shape.num_clusters = 8;
+  pc.shape.min_support = 12;
+  pc.shape.kmeans.num_restarts = 3;
+  pc.gbdt.num_rounds = 15;
+  auto predictor = core::VariationPredictor::Train(*suite, pc);
+  ASSERT_TRUE(predictor.ok()) << predictor.status().ToString();
+  const int k = (*predictor)->shapes().num_clusters();
+  ASSERT_EQ(k, 8);
+
+  auto labels =
+      (*predictor)->LabelGroups(suite->d2.telemetry, pc.min_label_support);
+  ASSERT_TRUE(labels.ok());
+  int max_label = -1;
+  for (const auto& [gid, label] : *labels) {
+    max_label = std::max(max_label, label);
+  }
+  ASSERT_LT(max_label, k - 1) << "D2 covers every shape at this seed";
+
+  EXPECT_EQ((*predictor)->model().num_classes(), k);
+  std::vector<const sim::JobRun*> runs;
+  for (const sim::JobRun& run : suite->d3.telemetry.runs()) {
+    if (runs.size() == 16) break;
+    runs.push_back(&run);
+  }
+  auto direct = (*predictor)->PredictShapeBatch(runs);
+  ASSERT_TRUE(direct.ok()) << direct.status().ToString();
+  EXPECT_TRUE((*predictor)->Evaluate(suite->d3.telemetry).ok());
+
+  auto service = core::ShapeService::Make(&(*predictor)->shapes());
+  ASSERT_TRUE(service.ok());
+  (*service)->SwapModel((*predictor)->ModelSnapshot());
+  FrontendOptions options;
+  options.batch_linger = std::chrono::microseconds(0);
+  options.default_deadline = std::chrono::milliseconds(5000);
+  auto frontend =
+      ServingFrontend::Make(service->get(), predictor->get(), options);
+  ASSERT_TRUE(frontend.ok());
+  for (size_t i = 0; i < runs.size(); ++i) {
+    const PredictResponse response = (*frontend)->Predict(
+        *runs[i], Priority::kStandard, std::chrono::seconds(10));
+    ASSERT_TRUE(response.served()) << ShedReasonName(response.shed);
+    EXPECT_EQ(response.level, DegradationLevel::kFullModel);
+    EXPECT_EQ(response.shape, (*direct)[i]) << "run " << i;
+  }
 }
 
 }  // namespace
